@@ -2,7 +2,7 @@
 semigroup rings, plus the combinatorics of the associated graded ring of
 their differential operators.
 
-Everything is computed in exact integer / rational arithmetic.  The main
+Everything is computed in exact integer arithmetic.  The main
 entry points:
 
   * ToricPresentation.build(rows)      -- matrix, cone, flags

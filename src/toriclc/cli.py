@@ -24,6 +24,7 @@ from . import sectors as se
 from .errors import (
     DimensionUnsupported,
     FullLatticeRequired,
+    GeneratorNotInSemigroup,
     HypothesisFailed,
     IsNormal,
     NotFullDimensional,
@@ -77,17 +78,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# smallest accepted value of each integer option
+_OPTION_FLOORS = {"bound": 1, "box": 1, "samples": 1, "margin": 0}
+
+
 def _load(args):
-    problem = parse_problem_file(args.problem)
+    try:
+        problem = parse_problem_file(args.problem)
+    except OSError as exc:
+        raise ProblemFormatError(
+            f"cannot read problem file {args.problem}: {exc.strerror}"
+        ) from exc
     options = dict(problem.options)
-    if args.bound is not None:
-        options["bound"] = args.bound
-    if args.box is not None:
-        options["box"] = args.box
-    if args.samples is not None:
-        options["samples"] = args.samples
-    if args.margin is not None:
-        options["margin"] = args.margin
+    for key, floor in _OPTION_FLOORS.items():
+        if getattr(args, key) is not None:
+            options[key] = getattr(args, key)
+        if options.get(key, floor) < floor:
+            raise ProblemFormatError(
+                f"option {key} must be at least {floor}, got {options[key]}"
+            )
     pres = ToricPresentation.build(
         problem.matrix_rows,
         search_bound=options.get("bound"),
@@ -115,14 +124,25 @@ def _resolve_ideal(args, problem, pres):
         return co.MonomialIdeal.maximal_ideal(pres)
     if getattr(args, "ideal", None):
         degrees = parse_degree_list(args.ideal, pres.dim)
-        return co.MonomialIdeal.from_degrees(pres, degrees)
-    if problem.ideal == "maximal":
+    elif problem.ideal == "maximal":
         return co.MonomialIdeal.maximal_ideal(pres)
-    if problem.ideal:
-        return co.MonomialIdeal.from_degrees(pres, problem.ideal)
-    raise ProblemFormatError(
-        "lc needs an ideal: --ideal, --maximal, or an ideal section in the file"
-    )
+    elif problem.ideal:
+        degrees = problem.ideal
+    else:
+        raise ProblemFormatError(
+            "lc needs an ideal: --ideal, --maximal, or an ideal section in the file"
+        )
+    try:
+        return co.MonomialIdeal.from_degrees(pres, degrees)
+    except (GeneratorNotInSemigroup, ValueError) as exc:
+        raise ProblemFormatError(f"bad ideal: {exc}") from exc
+
+
+def _socle_radii(text):
+    radii = [r.strip() for r in text.split(",") if r.strip()]
+    if not radii or not all(r.isdecimal() for r in radii):
+        raise ProblemFormatError(f"socle radii must be nonnegative integers, got {text!r}")
+    return [int(r) for r in radii]
 
 
 def _exponent_table(pres):
@@ -225,14 +245,12 @@ def run(argv=None) -> int:
             enumeration, poset = _enumerate(pres, options)
             report = rp.sectors_report(pres, enumeration, poset, echo)
         elif args.command == "lc":
+            radii = _socle_radii(args.socle) if args.socle else None
             ideal = _resolve_ideal(args, problem, pres)
             enumeration, poset = _enumerate(pres, options)
             module = co.assemble_module(pres, ideal, enumeration, poset)
-            socles = []
-            if args.socle:
-                radii = [int(r) for r in args.socle.split(",") if r.strip()]
-                for i, _ in module.lengths_by_degree:
-                    socles.append(co.socle_probe(pres, ideal, i, radii))
+            socles = [co.socle_probe(pres, ideal, i, radii)
+                      for i, _ in module.lengths_by_degree] if radii else []
             report = rp.lc_report(pres, enumeration, poset, module, socles, echo)
         elif args.command == "grd":
             report = _run_grd(pres, echo)

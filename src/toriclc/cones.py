@@ -13,7 +13,6 @@ deliberate, since the inputs are desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -93,57 +92,6 @@ def is_simplicial(supports, dim: int) -> bool:
     return len(supports) == dim
 
 
-def _solve_fraction(rows, rhs):
-    """Solve rows @ x == rhs over Fractions; the solution must be unique."""
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    nrow = len(m)
-    ncol = len(m[0]) - 1
-    prow = 0
-    pivots = []
-    for col in range(ncol):
-        piv = next((i for i in range(prow, nrow) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[prow], m[piv] = m[piv], m[prow]
-        inv = Fraction(1, 1) / m[prow][col]
-        m[prow] = [e * inv for e in m[prow]]
-        for i in range(nrow):
-            if i != prow and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [e - f * p for e, p in zip(m[i], m[prow])]
-        pivots.append(col)
-        prow += 1
-    if prow < ncol:
-        raise ValueError("underdetermined system")
-    for i in range(prow, nrow):
-        if m[i][ncol] != 0:
-            raise ValueError("inconsistent system")
-    x = [Fraction(0)] * ncol
-    for i, col in enumerate(pivots):
-        x[col] = m[i][ncol]
-    return x
-
-
-def _fraction_det_sign(rows) -> int:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        if m[k][k] < 0:
-            sign = -sign
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] / m[k][k]
-                m[i] = [e - f * p for e, p in zip(m[i], m[k])]
-    return sign
-
-
 class FaceLattice:
     """All faces of a pointed full-dimensional cone, ordered by inclusion.
 
@@ -159,7 +107,6 @@ class FaceLattice:
         self.dim = dim
         self._bases = bases
         self._signs = signs
-        self._by_columns = {f.column_indices: f.face_id for f in faces}
         self._by_zero_facets = {f.zero_facets: f.face_id for f in faces}
         bottoms = [f for f in faces if f.dim == 0]
         tops = [f for f in faces if f.dim == dim]
@@ -203,61 +150,61 @@ class FaceLattice:
 
 def build_face_lattice(matrix: la.Matrix, supports) -> FaceLattice:
     """Enumerate every face as an intersection of facets and orient the
-    resulting lattice.  Raises NotPointed when the cone contains a line."""
+    resulting lattice.  Raises NotPointed when the cone contains a line.
+
+    Faces are found by a worklist that starts from the whole cone and cuts
+    each known face by each facet, so the work is O(#faces * #facets)."""
     cols = matrix_columns(matrix)
     d = len(matrix)
-    n = len(cols)
     if not is_pointed(supports, d):
         raise NotPointed("cone contains a line")
     nf = len(supports)
     values = [[s.value(c) for s in supports] for c in cols]
 
-    entries = {}
-    for mask in range(1 << nf):
-        chosen = [s for s in range(nf) if mask & (1 << s)]
-        colset = frozenset(
-            i for i in range(n) if all(values[i][s] == 0 for s in chosen)
-        )
-        if colset in entries:
-            continue
-        zero = frozenset(
-            s for s in range(nf) if all(values[i][s] == 0 for i in colset)
-        )
-        entries[colset] = zero
+    whole = frozenset(range(len(cols)))
+    colsets = {whole}
+    todo = [whole]
+    while todo:
+        colset = todo.pop()
+        for s in range(nf):
+            cut = frozenset(i for i in colset if values[i][s] == 0)
+            if cut not in colsets:
+                colsets.add(cut)
+                todo.append(cut)
 
-    ordered = sorted(entries, key=lambda cs: (la.rank(la.mat(cols[i] for i in cs)), sorted(cs)))
-    faces = []
-    bases = []
-    for fid, colset in enumerate(ordered):
+    bases = {}
+    for colset in colsets:
         basis = []
         for i in sorted(colset):
             cand = basis + [cols[i]]
             if la.rank(la.mat(cand)) == len(cand):
                 basis.append(cols[i])
-        faces.append(Face(fid, colset, len(basis), entries[colset]))
-        bases.append(tuple(basis))
-    faces = tuple(faces)
+        bases[colset] = tuple(basis)
+    ordered = sorted(colsets, key=lambda cs: (len(bases[cs]), sorted(cs)))
+    faces = tuple(
+        Face(fid, cs, len(bases[cs]),
+             frozenset(s for s in range(nf) if all(values[i][s] == 0 for i in cs)))
+        for fid, cs in enumerate(ordered)
+    )
+    bases = tuple(bases[cs] for cs in ordered)
 
     signs = {}
     for low in faces:
         for high in faces:
-            if high.dim != low.dim + 1:
-                continue
-            if not low.column_indices <= high.column_indices:
+            if high.dim != low.dim + 1 or not low.column_indices <= high.column_indices:
                 continue
             interior = la.zero_vector(d)
             for i in high.column_indices:
                 interior = la.vadd(interior, cols[i])
-            rows = list(bases[low.face_id]) + [interior]
-            target_cols = la.transpose(la.mat(bases[high.face_id]))
-            coord_rows = [
-                _solve_fraction(target_cols, row) for row in rows
-            ]
-            sign = _fraction_det_sign(coord_rows)
-            assert sign != 0
-            signs[(low.face_id, high.face_id)] = sign
+            # rows = C @ B for the high basis B, and det(B @ B^T) > 0, so
+            # det(rows @ B^T) has the sign of the coordinate matrix C
+            rows = bases[low.face_id] + (interior,)
+            det = la.det(la.matmul(rows, la.transpose(bases[high.face_id])))
+            if det == 0:
+                raise AssertionError(f"degenerate incidence {low.face_id} < {high.face_id}")
+            signs[(low.face_id, high.face_id)] = 1 if det > 0 else -1
 
-    lattice = FaceLattice(faces, tuple(bases), signs, d)
+    lattice = FaceLattice(faces, bases, signs, d)
     _assert_coboundary_squares_to_zero(lattice)
     return lattice
 

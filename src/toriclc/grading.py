@@ -53,10 +53,8 @@ def theta_exponent(pres: ToricPresentation, a, facet_id: int) -> int:
     """
     if not pres.scored:
         raise NotScored("facet exponents are defined for scored semigroups")
-    ns = pres.facet_semigroup(facet_id)
-    f = pres.supports[facet_id].value(la.vec(a))
-    upper = max(0, ns.conductor - f)
-    return sum(1 for x in range(upper) if x in ns and (x + f) not in ns)
+    shift = pres.supports[facet_id].value(la.vec(a))
+    return pres.facet_semigroup(facet_id).escape_count(shift)
 
 
 def theta_exponents(pres: ToricPresentation, a) -> tuple:
@@ -171,6 +169,7 @@ def gr_generators_dim1(pres: ToricPresentation) -> tuple:
     """
     if pres.dim != 1:
         raise DimensionUnsupported("generator pairs are a dim-1 construction")
+    pres._require_pointed()
     ns = pres.facet_semigroup(0)
     sign = 1 if pres.supports[0].coefficients[0] > 0 else -1
     pairs = {(1, 1)}
@@ -306,6 +305,18 @@ def _exponent_map_checks(pres: ToricPresentation, *, samples: int = 50) -> list:
     return [("exponent_map_additive", additive), ("exponent_map_injective", injective)]
 
 
+def _generator_monomials(pres: ToricPresentation):
+    """Monomial generators at the negated columns, and the exponent check."""
+    monomials = []
+    exponents_match = True
+    for col in pres.columns:
+        exps = theta_exponents(pres, la.vneg(col))
+        if exps != pres.facet_values(col):
+            exponents_match = False
+        monomials.append(GrMonomial(la.vneg(col), exps))
+    return tuple(monomials), ("exponents_equal_facet_values", exponents_match)
+
+
 def fiber_at_origin(pres: ToricPresentation) -> FiberCertificate:
     """Certificate that the reduced fiber over the torus-fixed point is the
     semigroup algebra itself, via the distinguished monomial generators.
@@ -316,18 +327,11 @@ def fiber_at_origin(pres: ToricPresentation) -> FiberCertificate:
         raise HypothesisFailed(
             "origin fiber certificate needs a simplicial scored semigroup"
         )
-    monomials = []
-    exponents_match = True
-    for i, col in enumerate(pres.columns):
-        exps = theta_exponents(pres, la.vneg(col))
-        if exps != pres.facet_values(col):
-            exponents_match = False
-        monomials.append(GrMonomial(la.vneg(col), exps))
-    checks = [("exponents_equal_facet_values", exponents_match)]
-    checks += _exponent_map_checks(pres)
+    monomials, match_check = _generator_monomials(pres)
+    checks = [match_check] + _exponent_map_checks(pres)
     return FiberCertificate(
         kind="origin_fiber",
-        generator_monomials=tuple(monomials),
+        generator_monomials=monomials,
         target_matrix=pres.matrix,
         poly_vars=0,
         checks=tuple(checks),
@@ -410,14 +414,8 @@ def char_variety_max(pres: ToricPresentation) -> FiberCertificate:
     if not pres.scored:
         raise HypothesisFailed("characteristic variety certificate needs scored")
     alpha = interior_degree(pres)
-    monomials = []
-    exponents_match = True
-    for col in pres.columns:
-        exps = theta_exponents(pres, la.vneg(col))
-        if exps != pres.facet_values(col):
-            exponents_match = False
-        monomials.append(GrMonomial(la.vneg(col), exps))
-    checks = [("exponents_equal_facet_values", exponents_match)]
+    monomials, match_check = _generator_monomials(pres)
+    checks = [match_check]
     # non-vanishing on negated semigroup degrees: translating by -alpha must
     # leave every facet-translated region
     rng = random.Random(_RNG_SEED)
@@ -469,7 +467,7 @@ def char_variety_max(pres: ToricPresentation) -> FiberCertificate:
     )
     return FiberCertificate(
         kind="char_variety_max",
-        generator_monomials=tuple(monomials),
+        generator_monomials=monomials,
         target_matrix=pres.matrix,
         poly_vars=0,
         checks=tuple(checks),

@@ -76,11 +76,6 @@ def vec_mat(v: Vector, m: Matrix) -> Vector:
     return tuple(dot(v, col) for col in transpose(m))
 
 
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    """Matrix times column vector."""
-    return tuple(dot(row, v) for row in m)
-
-
 def _xgcd(a: int, b: int):
     """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b == g."""
     x, next_x = 1, 0

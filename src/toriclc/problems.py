@@ -91,6 +91,8 @@ def parse_problem(text: str, source: str = "<problem>") -> ProblemFile:
                     mode = "ideal"
                 continue
             if key in _OPTION_KEYS:
+                if key in options:
+                    raise ProblemFormatError(f"{source}:{lineno}: duplicate option {key!r}")
                 try:
                     options[key] = int(rest)
                 except ValueError as exc:

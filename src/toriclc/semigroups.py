@@ -28,8 +28,6 @@ trusted, and are disabled on any disagreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 from math import gcd
 
 from . import intlinalg as la
@@ -63,6 +61,12 @@ class NumericalSemigroup:
         if x < 0:
             return False
         return x >= self.conductor or x not in self.gaps
+
+    def escape_count(self, shift: int) -> int:
+        """Number of members x with x + shift outside the semigroup; finite
+        because everything from the conductor on is a member."""
+        upper = max(0, self.conductor - shift)
+        return sum(1 for x in range(upper) if x in self and (x + shift) not in self)
 
 
 def numerical_semigroup(values) -> NumericalSemigroup:
@@ -311,24 +315,28 @@ class _BfsTable:
         if got is None:
             return False
         # facet values factor through the quotient, so they must agree
-        assert got == vals, "facet values inconsistent with quotient state"
+        if got != vals:
+            raise AssertionError("facet values inconsistent with quotient state")
         return True
 
 
 # -- public membership oracles ----------------------------------------------
 
 
+def _shortcut_member(pres: ToricPresentation, route: str, a, zero_facets) -> bool:
+    """The flag shortcut for membership in (semigroup + group of the face
+    cut out by zero_facets): sign checks of those support functions for
+    route "normal", facet numerical semigroup checks for route "scored"."""
+    if route == "normal":
+        return all(pres.supports[s].value(a) >= 0 for s in zero_facets)
+    return all(
+        pres.supports[s].value(a) in pres.facet_semigroup(s) for s in zero_facets
+    )
+
+
 def in_semigroup(pres: ToricPresentation, a) -> bool:
     """Exact test for membership of a degree in the semigroup."""
-    pres._require_pointed()
-    a = la.vec(a)
-    if pres.fast_path == "normal":
-        return all(v >= 0 for v in pres.facet_values(a))
-    if pres.fast_path == "scored":
-        return all(
-            s.value(a) in pres.facet_semigroup(s.facet_id) for s in pres.supports
-        )
-    return pres._table_membership(a, pres.face_lattice.bottom_id)
+    return in_face_localization(pres, a, pres.face_lattice.bottom_id)
 
 
 def in_face_localization(pres: ToricPresentation, a, face_id: int) -> bool:
@@ -338,15 +346,9 @@ def in_face_localization(pres: ToricPresentation, a, face_id: int) -> bool:
     lattice = pres.face_lattice
     if face_id == lattice.top_id:
         return True
-    zero_facets = lattice.face(face_id).zero_facets
-    if pres.fast_path == "normal":
-        return all(pres.supports[s].value(a) >= 0 for s in zero_facets)
-    if pres.fast_path == "scored":
-        return all(
-            pres.supports[s].value(a) in pres.facet_semigroup(s)
-            for s in zero_facets
-        )
-    return pres._table_membership(a, face_id)
+    if pres.fast_path is None:
+        return pres._table_membership(a, face_id)
+    return _shortcut_member(pres, pres.fast_path, a, lattice.face(face_id).zero_facets)
 
 
 def face_membership_search(pres: ToricPresentation, a, face_id: int,
@@ -470,11 +472,7 @@ def escape_count(pres: ToricPresentation, shift) -> int:
         raise DimensionUnsupported("escape counts are only finite for dim 1")
     pres._require_pointed()
     shift = la.vec(shift) if not isinstance(shift, int) else (shift,)
-    support = pres.supports[0]
-    ns = pres.facet_semigroup(0)
-    f = support.value(shift)
-    upper = max(0, ns.conductor - f)
-    return sum(1 for x in range(upper) if x in ns and (x + f) not in ns)
+    return pres.facet_semigroup(0).escape_count(pres.supports[0].value(shift))
 
 
 # -- classification -----------------------------------------------------------
@@ -487,9 +485,10 @@ def _facet_box_points(pres: ToricPresentation, caps) -> list:
     subset of facets: its Hermite basis is triangular, so the value tuples
     in the box are enumerated coordinate by coordinate with no wasted
     candidates (the image can have large index in the ambient lattice, so
-    scanning all value tuples would be far more expensive).  Points are
-    recovered by one exact solve per achieved tuple and filtered against
-    the remaining facets."""
+    scanning all value tuples would be far more expensive).  Each Hermite
+    row is the value tuple of the matching row of the unimodular transform,
+    so the point is carried along as the same combination of those rows and
+    filtered against the remaining facets at the end."""
     d = pres.dim
     basis_ids = []
     rows = []
@@ -500,35 +499,33 @@ def _facet_box_points(pres: ToricPresentation, caps) -> list:
             basis_ids.append(s.facet_id)
         if len(rows) == d:
             break
-    frac_rows = [[Fraction(x) for x in r] for r in rows]
     others = [s for s in pres.supports if s.facet_id not in basis_ids]
     bounds = [caps[i] for i in basis_ids]
     # image lattice of a |-> (F(a)) is generated by the value vectors of
     # the unit directions, i.e. the columns of the basis-normal matrix
-    image_basis, _ = la.hermite_normal_form(la.transpose(la.mat(rows)))
-    from .cones import _solve_fraction
+    image_basis, transform = la.hermite_normal_form(la.transpose(la.mat(rows)))
 
     points = []
 
-    def step(level, partial):
+    def step(level, partial, point):
         if level == d:
-            sol = _solve_fraction(frac_rows, list(partial))
-            assert all(x.denominator == 1 for x in sol)
-            point = tuple(int(x) for x in sol)
+            if tuple(la.dot(r, point) for r in rows) != partial:
+                raise AssertionError(f"facet values of {point} are not {partial}")
             if all(0 <= s.value(point) <= caps[s.facet_id] for s in others):
                 points.append(point)
             return
         row = image_basis[level]
+        lift = transform[level]
         pivot = row[level]
         # the Hermite basis is triangular: later levels cannot change this
         # coordinate, so its box constraint pins the coefficient range here
         y = -(partial[level] // pivot)
         while partial[level] + y * pivot <= bounds[level]:
             nxt = tuple(p + y * r for p, r in zip(partial, row))
-            step(level + 1, nxt)
+            step(level + 1, nxt, tuple(p + y * u for p, u in zip(point, lift)))
             y += 1
 
-    step(0, (0,) * d)
+    step(0, (0,) * d, (0,) * d)
     return points
 
 
@@ -542,10 +539,8 @@ def _classify(pres: ToricPresentation) -> None:
     bottom = lattice.bottom_id
 
     member = {a: pres._table_membership(a, bottom) for a in points}
-    scored_pred = {
-        a: all(s.value(a) in pres.facet_semigroup(s.facet_id) for s in pres.supports)
-        for a in points
-    }
+    all_facets = lattice.face(bottom).zero_facets
+    scored_pred = {a: _shortcut_member(pres, "scored", a, all_facets) for a in points}
     s2_pred = {
         a: all(
             pres._table_membership(a, lattice.facet_face_id(s.facet_id))
@@ -556,7 +551,8 @@ def _classify(pres: ToricPresentation) -> None:
     pres.normal = all(member.values())
     pres.scored = all(member[a] == scored_pred[a] for a in points)
     pres.serre_s2 = all(member[a] == s2_pred[a] for a in points)
-    assert (not pres.normal or pres.scored) and (not pres.scored or pres.serre_s2)
+    if (pres.normal and not pres.scored) or (pres.scored and not pres.serre_s2):
+        raise AssertionError("flags violate normal => scored => Serre-S2")
     pres.verification_box = tuple(caps[s.facet_id] for s in pres.supports)
 
     # validate the flag shortcuts against the table oracle before trusting them
@@ -569,13 +565,9 @@ def _classify(pres: ToricPresentation) -> None:
             zf = face.zero_facets
             for a in points:
                 oracle = pres._table_membership(a, face.face_id)
-                if valid_normal and oracle != all(
-                    pres.supports[s].value(a) >= 0 for s in zf
-                ):
+                if valid_normal and oracle != _shortcut_member(pres, "normal", a, zf):
                     valid_normal = False
-                if valid_scored and oracle != all(
-                    pres.supports[s].value(a) in pres.facet_semigroup(s) for s in zf
-                ):
+                if valid_scored and oracle != _shortcut_member(pres, "scored", a, zf):
                     valid_scored = False
             if not (valid_normal or valid_scored):
                 break

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import CORPUS
 from toriclc import intlinalg as la
 from toriclc.cones import (
     build_face_lattice,
@@ -143,3 +144,43 @@ def test_incidence_signs_nonzero_on_covers(pres_2dim):
         for high in lattice.faces:
             if high.dim == low.dim + 1 and lattice.leq(low.face_id, high.face_id):
                 assert lattice.incidence_sign(low.face_id, high.face_id) in (-1, 1)
+
+
+# (low face id, high face id) -> sign, as computed by the rational
+# coordinate-matrix determinant that the integer determinant replaced
+PINNED_SIGNS = {
+    "dim2_normal": {(0, 1): 1, (0, 2): 1, (1, 3): 1, (2, 3): -1},
+    "dim3_hartshorne": {
+        (0, 1): 1, (0, 2): 1, (0, 3): 1, (0, 4): 1,
+        (1, 5): 1, (1, 6): 1, (2, 5): -1, (2, 7): 1,
+        (3, 6): -1, (3, 8): 1, (4, 7): -1, (4, 8): -1,
+        (5, 9): 1, (6, 9): -1, (7, 9): 1, (8, 9): -1,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SIGNS))
+def test_incidence_signs_pinned(name):
+    m = la.mat(CORPUS[name][0])
+    lattice = build_face_lattice(m, facet_support_functions(m))
+    signs = {
+        (low.face_id, high.face_id): lattice.incidence_sign(low.face_id, high.face_id)
+        for low in lattice.faces
+        for high in lattice.faces
+        if lattice.incidence_sign(low.face_id, high.face_id)
+    }
+    assert signs == PINNED_SIGNS[name]
+
+
+def test_face_lattice_20gon():
+    # cone over the lattice 20-gon, the hull of x^2 + y^2 <= 64: 20 rays,
+    # 20 two-dimensional faces, the apex and the whole cone
+    rows = [
+        [1] * 20,
+        [-8, -7, -6, -5, -3, 0, 3, 5, 6, 7, 8, 7, 6, 5, 3, 0, -3, -5, -6, -7],
+        [0, -3, -5, -6, -7, -8, -7, -6, -5, -3, 0, 3, 5, 6, 7, 8, 7, 6, 5, 3],
+    ]
+    m = la.mat(rows)
+    lattice = build_face_lattice(m, facet_support_functions(m))
+    assert len(lattice) == 42
+    assert [len(lattice.faces_of_dim(k)) for k in range(4)] == [1, 20, 20, 1]

@@ -49,6 +49,7 @@ def test_parse_no_ideal():
     ("matrix:\n2 3\nfoo: 1\n", "unknown key"),
     ("matrix:\n2 3\nideal:\n", "empty ideal"),
     ("matrix:\n2 3\nmatrix:\n2 3\n", "duplicate"),
+    ("matrix:\n2 3\nbound: 5\nbound: 6\n", ":4: duplicate option"),
     ("matrix: 1 2\n", "following lines"),
     ("stray\n", "unexpected"),
 ])
@@ -211,3 +212,38 @@ def test_cli_sublattice_exit_code(tmp_path, capsys):
     path.write_text("matrix:\n2\n")
     code, _ = _run(capsys, "analyze", str(path))
     assert code == 4
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["sectors", "dim2_normal", "--box", "-3"], 4),
+    (["sectors", "dim2_normal", "--box", "0"], 4),
+    (["sectors", "dim2_normal", "--samples", "0"], 4),
+    (["analyze", "dim2_normal", "--bound", "0"], 4),
+    (["analyze", "dim2_normal", "--bound", "-5"], 4),
+    (["analyze", "dim2_normal", "--margin", "-1"], 4),
+    (["analyze", "box_zero_in_file"], 4),
+    (["lc", "dim2_normal", "--socle=x"], 4),
+    (["lc", "dim2_normal", "--socle=-2"], 4),
+    (["lc", "dim2_normal", "--ideal=5,-1"], 4),
+    (["lc", "dim2_normal", "--ideal=0,0"], 4),
+    (["analyze", "missing_file"], 4),
+    (["grd", "line"], 2),
+], ids=["box-negative", "box-zero", "samples-zero", "bound-zero",
+        "bound-negative", "margin-negative", "box-zero-in-file", "socle-text",
+        "socle-negative", "ideal-outside", "ideal-unit", "missing-file",
+        "grd-not-pointed"])
+def test_cli_exit_code_contract(tmp_path, capsys, argv, code):
+    """Bad input gives its documented exit code and a one-line error."""
+    problems = {
+        "dim2_normal": CORPUS_DIR / "dim2_normal.toric",
+        "box_zero_in_file": tmp_path / "box0.toric",
+        "missing_file": tmp_path / "missing.toric",
+        "line": tmp_path / "line.toric",
+    }
+    problems["box_zero_in_file"].write_text("matrix:\n2 3\nbox: 0\n")
+    problems["line"].write_text("matrix:\n1 -1\n")
+    command, name, *flags = argv
+    assert run([command, str(problems[name]), *flags]) == code
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1
