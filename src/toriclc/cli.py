@@ -223,8 +223,11 @@ def _emit(report: dict, args) -> None:
     text = (rp.render_machine(report) if args.format == "machine"
             else rp.render_human(report))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ProblemFormatError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

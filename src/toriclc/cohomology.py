@@ -5,9 +5,11 @@ class-supported pieces with composition series, and socle probes.
 Every degree slice of the Cech complex is determined by which localization
 supports contain the degree; those supports are face-translated semigroup
 regions, so slices are constant on sectors and in particular on the finer
-signature classes.  Assembly therefore evaluates one representative per
-class and cross-checks additional samples, aborting on any disagreement
-instead of averaging.
+signature classes.  Slice ranks are therefore memoized once per ideal,
+keyed by the set of localization faces whose support contains the degree,
+so the memo holds at most 2^#faces entries however many degrees are asked.
+Assembly evaluates one representative per class and cross-checks
+additional samples, aborting on any disagreement instead of averaging.
 """
 
 from __future__ import annotations
@@ -53,24 +55,20 @@ class MonomialIdeal:
         return MonomialIdeal(tuple(degs), is_maximal=True)
 
 
-def matrix_rank(rows) -> int:
-    """Exact rank over the rationals of a small integer matrix."""
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    return la.rank(la.mat(rows))
-
-
 def _complex_ranks(dims, diffs):
     """Cohomology ranks of a finite complex from term dimensions and
     differential matrices (diffs[i]: term i -> term i+1)."""
-    ranks = [matrix_rank(d) if d else 0 for d in diffs]
-    out = []
-    for i, dim_i in enumerate(dims):
-        r_out = ranks[i] if i < len(ranks) else 0
-        r_in = ranks[i - 1] if i > 0 else 0
-        out.append(dim_i - r_out - r_in)
-    return tuple(out)
+    ranks = [0] + [la.rank(la.mat(d)) for d in diffs] + [0]
+    return tuple(dim_i - ranks[i] - ranks[i + 1] for i, dim_i in enumerate(dims))
+
+
+def _coboundaries(labels, sign):
+    """Differential matrices between consecutive label lists: the row of hi
+    holds sign(lo, hi) for every lo one degree lower."""
+    return [
+        [[sign(lo, hi) for lo in labels[k]] for hi in labels[k + 1]]
+        for k in range(len(labels) - 1)
+    ]
 
 
 # -- face-indexed (Ishida) complex slices -------------------------------------
@@ -88,14 +86,7 @@ def ishida_slice(pres: ToricPresentation, filter_faces):
         [fid for fid in lattice.faces_of_dim(k) if fid in filter_faces]
         for k in range(pres.dim + 1)
     ]
-    diffs = []
-    for k in range(pres.dim):
-        rows = [
-            [lattice.incidence_sign(lo, hi) for lo in labels[k]]
-            for hi in labels[k + 1]
-        ]
-        diffs.append(rows)
-    return labels, diffs
+    return labels, _coboundaries(labels, lattice.incidence_sign)
 
 
 def ishida_ranks(pres: ToricPresentation, filter_faces) -> tuple:
@@ -108,20 +99,42 @@ def ishida_ranks(pres: ToricPresentation, filter_faces) -> tuple:
 # -- Cech complex slices ------------------------------------------------------
 
 
-def _localization_face(pres: ToricPresentation, ideal: MonomialIdeal, subset):
-    cache = getattr(pres, "_loc_face_cache", None)
-    if cache is None:
-        cache = {}
-        pres._loc_face_cache = cache
-    key = (ideal.generator_degrees, subset)
-    fid = cache.get(key)
-    if fid is None:
-        total = la.zero_vector(pres.dim)
-        for j in subset:
-            total = la.vadd(total, ideal.generator_degrees[j])
-        fid = smallest_containing_face(pres, total)
-        cache[key] = fid
-    return fid
+@dataclass(frozen=True)
+class _CechTable:
+    """Per-ideal memo: the localization face of every generator subset (in
+    size-then-lexicographic order, () at the bottom face), the distinct
+    faces in order of first appearance, and slice ranks by present faces."""
+
+    subset_faces: dict
+    faces: tuple
+    ranks: dict
+
+
+def _cech_table(pres: ToricPresentation, ideal: MonomialIdeal) -> _CechTable:
+    degrees = ideal.generator_degrees
+    table = pres._cech_tables.get(degrees)
+    if table is None:
+        subset_faces = {(): pres.face_lattice.bottom_id}
+        for size in range(1, len(degrees) + 1):
+            for subset in combinations(range(len(degrees)), size):
+                total = tuple(map(sum, zip(*(degrees[j] for j in subset))))
+                subset_faces[subset] = smallest_containing_face(pres, total)
+        faces = tuple(dict.fromkeys(subset_faces.values()))
+        table = _CechTable(subset_faces, faces, {})
+        pres._cech_tables[degrees] = table
+    return table
+
+
+def _present_faces(pres: ToricPresentation, table: _CechTable, a) -> frozenset:
+    """The localization faces whose support contains the degree."""
+    return frozenset(f for f in table.faces if in_face_localization(pres, a, f))
+
+
+def _subset_sign(lo, hi) -> int:
+    """(-1)^position in hi of the one index missing from lo; 0 unless lo is
+    a subset of hi (|hi| = |lo| + 1, so exactly one index is missing)."""
+    missing = [pos for pos, j in enumerate(hi) if j not in lo]
+    return (-1) ** missing[0] if len(missing) == 1 else 0
 
 
 def cech_slice(pres: ToricPresentation, ideal: MonomialIdeal, a):
@@ -131,53 +144,31 @@ def cech_slice(pres: ToricPresentation, ideal: MonomialIdeal, a):
     The subset J is present iff the degree lies in the support of the
     localization at the sum of the J-degrees; signs follow the standard
     alternating convention by position."""
-    a = la.vec(a)
-    t = len(ideal.generator_degrees)
-    present = {(): in_semigroup(pres, a)}
-    for size in range(1, t + 1):
-        for subset in combinations(range(t), size):
-            fid = _localization_face(pres, ideal, subset)
-            present[subset] = in_face_localization(pres, a, fid)
-    labels = [
-        [s for s in combinations(range(t), size) if present[s]]
-        for size in range(t + 1)
-    ]
-    # support only grows along inclusions of subsets
-    for subset in present:
-        if subset and present[subset[:-1]] and not present[subset]:
+    table = _cech_table(pres, ideal)
+    present = _present_faces(pres, table, a)
+    labels = [[] for _ in range(len(ideal.generator_degrees) + 1)]
+    for subset, fid in table.subset_faces.items():
+        if fid in present:
+            labels[len(subset)].append(subset)
+        # support only grows along inclusions of subsets
+        elif subset and table.subset_faces[subset[:-1]] in present:
             raise AssertionError(
                 f"localization support shrank from {subset[:-1]} to {subset}"
             )
-    diffs = []
-    for size in range(t):
-        rows = []
-        for hi in labels[size + 1]:
-            row = []
-            for lo in labels[size]:
-                if set(lo) <= set(hi):
-                    j = next(iter(set(hi) - set(lo)))
-                    row.append((-1) ** hi.index(j))
-                else:
-                    row.append(0)
-            rows.append(row)
-        diffs.append(rows if labels[size] else [])
-    return labels, diffs
+    return labels, _coboundaries(labels, _subset_sign)
 
 
 def cech_ranks(pres: ToricPresentation, ideal: MonomialIdeal, a) -> tuple:
     """Cohomology ranks, by cohomological degree 0..#generators, of the
     degree-a slice of the Cech complex."""
-    cache = getattr(pres, "_cech_rank_cache", None)
-    if cache is None:
-        cache = {}
-        pres._cech_rank_cache = cache
-    key = (ideal.generator_degrees, la.vec(a))
-    out = cache.get(key)
-    if out is None:
+    table = _cech_table(pres, ideal)
+    present = _present_faces(pres, table, a)
+    ranks = table.ranks.get(present)
+    if ranks is None:
         labels, diffs = cech_slice(pres, ideal, a)
-        out = _complex_ranks([len(l) for l in labels], diffs)
-        cache[key] = out
-    return out
+        ranks = _complex_ranks([len(l) for l in labels], diffs)
+        table.ranks[present] = ranks
+    return ranks
 
 
 # -- module assembly ----------------------------------------------------------
@@ -204,12 +195,6 @@ class GradedModuleDescription:
             if i == degree:
                 return series
         return ()
-
-    def class_rank(self, class_id: int, degree: int) -> int:
-        for cid, i, r in self.pieces:
-            if cid == class_id and i == degree:
-                return r
-        return 0
 
 
 def assemble_module(pres: ToricPresentation, ideal: MonomialIdeal,
@@ -309,8 +294,12 @@ class SocleProbe:
 
 def module_support(pres: ToricPresentation, ideal: MonomialIdeal,
                    degree: int, a) -> bool:
-    """Whether the degree-a slice of the chosen cohomology module is nonzero."""
-    return cech_ranks(pres, ideal, a)[degree] > 0
+    """Whether the degree-a slice of the chosen cohomology module is nonzero.
+    Cohomological degrees above the number of generators have empty support."""
+    if degree < 0:
+        raise ValueError(f"cohomological degree must be nonnegative, got {degree}")
+    return (degree <= len(ideal.generator_degrees)
+            and cech_ranks(pres, ideal, a)[degree] > 0)
 
 
 def socle_probe(pres: ToricPresentation, ideal: MonomialIdeal,

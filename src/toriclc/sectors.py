@@ -51,14 +51,10 @@ def face_residue_reps(pres: ToricPresentation, face_id: int) -> tuple:
     The zero vector is always the representative with index 0, so the
     sector of a degree can be read off its signature.
     """
-    cache = getattr(pres, "_residue_reps", None)
-    if cache is None:
-        cache = {}
-        pres._residue_reps = cache
-    reps = cache.get(face_id)
+    reps = pres._residue_reps.get(face_id)
     if reps is None:
         reps = la.torsion_coset_reps(pres.face_quotient(face_id))
-        cache[face_id] = reps
+        pres._residue_reps[face_id] = reps
     return reps
 
 
@@ -84,16 +80,13 @@ def degree_signature(pres: ToricPresentation, a) -> Signature:
     return cached
 
 
-def sector_faces(pres: ToricPresentation, a) -> frozenset:
-    """The filter of faces whose translated semigroup contains the degree."""
-    sig = degree_signature(pres, a)
-    return frozenset(
-        fid for fid, residues in enumerate(sig.residues) if 0 in residues
-    )
-
-
 def sector_of_signature(sig: Signature) -> frozenset:
     return frozenset(fid for fid, res in enumerate(sig.residues) if 0 in res)
+
+
+def sector_faces(pres: ToricPresentation, a) -> frozenset:
+    """The filter of faces whose translated semigroup contains the degree."""
+    return sector_of_signature(degree_signature(pres, a))
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,8 @@ class ToricPresentation:
         self._face_quotients = {}
         self._tables = {}
         self._signature_cache = {}
+        self._residue_reps = {}
+        self._cech_tables = {}
         self.normal = None
         self.scored = None
         self.serre_s2 = None

@@ -1,6 +1,6 @@
 """Complex slices, ranks, module assembly, socle probes."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -9,14 +9,21 @@ from conftest import CORPUS, enumeration, presentation
 from toriclc import (
     GeneratorNotInSemigroup,
     MonomialIdeal,
+    ToricPresentation,
     assemble_module,
     cech_ranks,
     class_poset,
+    in_face_localization,
+    in_semigroup,
     ishida_ranks,
     local_cohomology_max,
+    module_support,
     sector_faces,
+    smallest_containing_face,
     socle_probe,
 )
+from toriclc import cohomology
+from toriclc import intlinalg as la
 from toriclc.cohomology import cech_slice, ishida_slice
 
 
@@ -241,3 +248,98 @@ def test_socle_empty_when_facets_pin_support(pres_2dim):
     ideal = MonomialIdeal.from_degrees(pres_2dim, [(1, 1)])
     probe = socle_probe(pres_2dim, ideal, 1, [3, 6])
     assert probe.counts == ((3, 0), (6, 0))
+
+
+def test_module_support_rejects_negative_degree(pres_hartshorne):
+    ideal = MonomialIdeal.from_degrees(pres_hartshorne, CORPUS["dim3_hartshorne"][1])
+    with pytest.raises(ValueError):
+        module_support(pres_hartshorne, ideal, -1, (0, 0, 0))
+    with pytest.raises(ValueError):
+        socle_probe(pres_hartshorne, ideal, -1, [2])
+
+
+def test_module_support_empty_above_generator_count(pres_hartshorne):
+    ideal = MonomialIdeal.from_degrees(pres_hartshorne, CORPUS["dim3_hartshorne"][1])
+    t = len(ideal.generator_degrees)
+    assert module_support(pres_hartshorne, ideal, t, (-2, -1, 0))
+    assert not module_support(pres_hartshorne, ideal, t + 1, (-2, -1, 0))
+    probe = socle_probe(pres_hartshorne, ideal, t + 1, [2])
+    assert probe.counts == ((2, 0),)
+
+
+def _reference_cech_ranks(pres, ideal, a):
+    """Cech ranks with one membership test per generator subset and the
+    complex built from scratch."""
+    degrees = ideal.generator_degrees
+    t = len(degrees)
+    terms = []
+    for size in range(t + 1):
+        present = []
+        for subset in combinations(range(t), size):
+            if not subset:
+                member = in_semigroup(pres, a)
+            else:
+                total = tuple(sum(c) for c in zip(*(degrees[j] for j in subset)))
+                face = smallest_containing_face(pres, total)
+                member = in_face_localization(pres, a, face)
+            if member:
+                present.append(subset)
+        terms.append(present)
+    rank = []
+    for lo_terms, hi_terms in zip(terms, terms[1:]):
+        rows = []
+        for hi in hi_terms:
+            row = []
+            for lo in lo_terms:
+                extra = set(hi) - set(lo)
+                row.append((-1) ** hi.index(extra.pop())
+                           if set(lo) < set(hi) else 0)
+            rows.append(row)
+        rank.append(la.rank(la.mat(rows)))
+    rank.append(0)
+    return tuple(
+        len(terms[i]) - rank[i] - (rank[i - 1] if i else 0) for i in range(t + 1)
+    )
+
+
+@pytest.mark.parametrize("name,ideal_kind", [
+    *((name, "maximal") for name in sorted(CORPUS)),
+    ("dim2_normal", "file"),
+    ("dim3_hartshorne", "file"),
+])
+def test_cech_ranks_match_per_subset_reference(name, ideal_kind):
+    pres = presentation(name)
+    ideal = (MonomialIdeal.maximal_ideal(pres) if ideal_kind == "maximal"
+             else MonomialIdeal.from_degrees(pres, CORPUS[name][1]))
+    for a in product(range(-3, 4), repeat=pres.dim):
+        assert cech_ranks(pres, ideal, a) == _reference_cech_ranks(pres, ideal, a), a
+
+
+def test_cech_rank_memo_bounded_by_faces(pres_hartshorne):
+    ideal = MonomialIdeal.from_degrees(pres_hartshorne, CORPUS["dim3_hartshorne"][1])
+    socle_probe(pres_hartshorne, ideal, 2, [10])
+    table = pres_hartshorne._cech_tables[ideal.generator_degrees]
+    assert 0 < len(table.ranks) <= 2 ** len(table.faces)
+
+
+def test_cech_ranks_hit_queries_faces_and_builds_nothing(monkeypatch):
+    pres = ToricPresentation.build(CORPUS["dim2_normal"][0])
+    ideal = MonomialIdeal.maximal_ideal(pres)
+    queries, slices = [], []
+    monkeypatch.setattr(
+        cohomology, "in_face_localization",
+        lambda p, a, f: queries.append(f) or in_face_localization(p, a, f))
+    monkeypatch.setattr(
+        cohomology, "cech_slice",
+        lambda p, i, a: slices.append(a) or cech_slice(p, i, a))
+    miss = cech_ranks(pres, ideal, (-1, -1))
+    assert len(slices) == 1
+    table = pres._cech_tables[ideal.generator_degrees]
+    assert table.faces[0] == pres.face_lattice.bottom_id
+    first = list(dict.fromkeys(table.subset_faces.values()))
+    assert list(table.faces) == first
+    queries.clear()
+    # (-2, -2) lies in the same localizations as (-1, -1)
+    assert cech_ranks(pres, ideal, (-2, -2)) == miss
+    assert queries == first
+    assert len(slices) == 1

@@ -228,10 +228,12 @@ def test_cli_sublattice_exit_code(tmp_path, capsys):
     (["lc", "dim2_normal", "--ideal=0,0"], 4),
     (["analyze", "missing_file"], 4),
     (["grd", "line"], 2),
+    (["analyze", "dim2_normal", "--output",
+      str(CORPUS_DIR / "no-such-dir" / "report.json")], 4),
 ], ids=["box-negative", "box-zero", "samples-zero", "bound-zero",
         "bound-negative", "margin-negative", "box-zero-in-file", "socle-text",
         "socle-negative", "ideal-outside", "ideal-unit", "missing-file",
-        "grd-not-pointed"])
+        "grd-not-pointed", "output-missing-dir"])
 def test_cli_exit_code_contract(tmp_path, capsys, argv, code):
     """Bad input gives its documented exit code and a one-line error."""
     problems = {
