@@ -15,6 +15,7 @@ additional samples, aborting on any disagreement instead of averaging.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 
 from . import intlinalg as la
@@ -307,19 +308,20 @@ def socle_probe(pres: ToricPresentation, ideal: MonomialIdeal,
     """Count socle degrees inside centered boxes of the given radii.
 
     A degree is a socle degree when it supports the module but every
-    translate by a generator column leaves the support."""
+    translate by a generator column leaves the support; the support is
+    evaluated once per degree, whether reached as box point or translate."""
     radii = sorted(set(int(r) for r in radii))
+    if not radii or radii[0] < 0:
+        raise ValueError(f"socle radii must be nonnegative and nonempty, got {radii}")
     columns = [c for c in pres.columns if not la.is_zero_vector(c)]
+    supported = cache(lambda a: module_support(pres, ideal, cohomological_degree, a))
     counts = []
     degrees = []
     found = []
     biggest = radii[-1]
     for point in product(range(-biggest, biggest + 1), repeat=pres.dim):
-        if not module_support(pres, ideal, cohomological_degree, point):
-            continue
-        if all(
-            not module_support(pres, ideal, cohomological_degree, la.vadd(point, c))
-            for c in columns
+        if supported(point) and not any(
+            supported(la.vadd(point, c)) for c in columns
         ):
             found.append(point)
     for r in radii:

@@ -16,6 +16,8 @@ residue is present; its blocks are indexed by upward-closed sets of faces
 Class enumeration scans growing centered boxes and stops after two
 consecutive growth steps discover no new signature; the theory guarantees
 finiteness but no effective bound, so the box used is always reported.
+Each growth step scans only the shell outside the previous box, so each
+degree's signature is computed once and signatures are not memoized.
 """
 
 from __future__ import annotations
@@ -70,14 +72,9 @@ def face_residues(pres: ToricPresentation, a, face_id: int) -> frozenset:
 
 def degree_signature(pres: ToricPresentation, a) -> Signature:
     a = la.vec(a)
-    cached = pres._signature_cache.get(a)
-    if cached is None:
-        cached = Signature(tuple(
-            face_residues(pres, a, face.face_id)
-            for face in pres.face_lattice.faces
-        ))
-        pres._signature_cache[a] = cached
-    return cached
+    return Signature(tuple(
+        face_residues(pres, a, face.face_id) for face in pres.face_lattice.faces
+    ))
 
 
 def sector_of_signature(sig: Signature) -> frozenset:
@@ -129,48 +126,53 @@ def default_initial_radius(pres: ToricPresentation) -> int:
     return max(1, 2 * pres.max_facet_conductor() + max_entry)
 
 
+GROWTH = 2        # the class scan multiplies its radius by this per step
+STABLE_STEPS = 2  # and stops after this many steps with no new signature
+
+
 def enumerate_classes(pres: ToricPresentation, *, initial_radius=None,
-                      growth: int = 2, stable_steps: int = 2,
                       samples_per_class: int = 3) -> ClassEnumeration:
     """Collect the distinct signatures on growing centered boxes.
 
-    Stops once `stable_steps` consecutive box growths add no new signature.
-    Class ids are assigned in order of first discovery under a fixed
-    lexicographic scan, so results are deterministic.
+    Each growth step computes signatures only on the shell of points
+    outside the previous box: earlier steps already covered the inner
+    points, so they can add no class and no sample, and no signature is
+    memoized.  Stops once STABLE_STEPS consecutive growths add no new
+    signature.  Class ids are assigned in order of first discovery under a
+    lexicographic scan of each shell, so results are deterministic.
     """
     pres._require_pointed()
     d = pres.dim
     radius = initial_radius if initial_radius else default_initial_radius(pres)
-    order = []            # signatures in first-seen order
-    reps = {}             # signature -> representative
-    samples = {}          # signature -> list of sample degrees
+    samples = {}  # signature -> sample degrees, representative first
     history = []
+    inner = -1    # radius of the box already scanned
     stable = 0
     while True:
         new_found = 0
         for point in product(range(-radius, radius + 1), repeat=d):
+            if max(map(abs, point)) <= inner:
+                continue
             sig = degree_signature(pres, point)
-            if sig not in reps:
-                reps[sig] = point
-                samples[sig] = [point]
-                order.append(sig)
+            if sig not in samples:
+                samples[sig] = []
                 new_found += 1
-            elif len(samples[sig]) < samples_per_class:
+            if len(samples[sig]) < samples_per_class:
                 samples[sig].append(point)
         history.append((radius, new_found))
         stable = stable + 1 if new_found == 0 else 0
-        if stable >= stable_steps:
+        if stable >= STABLE_STEPS:
             break
-        radius *= growth
+        inner, radius = radius, radius * GROWTH
     classes = tuple(
         EquivClass(
             class_id=i,
             signature=sig,
-            representative=la.vec(reps[sig]),
+            representative=la.vec(pts[0]),
             sector=sector_of_signature(sig),
-            samples=la.mat(samples[sig]),
+            samples=la.mat(pts),
         )
-        for i, sig in enumerate(order)
+        for i, (sig, pts) in enumerate(samples.items())
     )
     return ClassEnumeration(classes, radius, tuple(history))
 
@@ -216,15 +218,19 @@ def class_poset(classes) -> ClassPoset:
     return ClassPoset(tuple(sorted(below)), tuple(extension))
 
 
-def all_sector_filters(pres: ToricPresentation, *, limit: int = 18) -> tuple:
+FILTER_FACE_LIMIT = 18  # most faces whose filters are enumerated by bitmask
+
+
+def all_sector_filters(pres: ToricPresentation) -> tuple:
     """Every filter of the face lattice containing the full cone.
 
-    Enumerated by bitmask when the lattice is small enough; the region of a
-    filter missing the full cone is empty, so such filters are skipped.
+    Enumerated by bitmask when the lattice has at most FILTER_FACE_LIMIT
+    faces; the region of a filter missing the full cone is empty, so such
+    filters are skipped.
     """
     lattice = pres.face_lattice
     n = len(lattice)
-    if n > limit:
+    if n > FILTER_FACE_LIMIT:
         raise ValueError(f"face lattice too large to enumerate filters ({n} faces)")
     top = lattice.top_id
     out = []

@@ -28,6 +28,7 @@ trusted, and are disabled on any disagreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from . import intlinalg as la
@@ -150,7 +151,6 @@ class ToricPresentation:
         self._face_groups = {}
         self._face_quotients = {}
         self._tables = {}
-        self._signature_cache = {}
         self._residue_reps = {}
         self._cech_tables = {}
         self.normal = None
@@ -279,7 +279,7 @@ class _BfsTable:
         self.caps = None
         self.members = None
 
-    def rebuild(self, caps, state_limit=None) -> None:
+    def rebuild(self, caps, state_limit: int) -> None:
         caps = tuple(caps)
         d = self.quotient.ambient_rank
         origin = self.quotient.project(la.zero_vector(d))
@@ -302,7 +302,7 @@ class _BfsTable:
                         members[new_state] = new_vals
                         lifts[new_state] = new_lift
                         nxt.append(new_state)
-            if state_limit is not None and len(members) > state_limit:
+            if len(members) > state_limit:
                 # leave any previously built table intact
                 raise SearchBoundExceeded(
                     f"membership table needs more than {state_limit} states"
@@ -538,44 +538,32 @@ def _classify(pres: ToricPresentation) -> None:
     }
     points = _facet_box_points(pres, caps)
     lattice = pres.face_lattice
-    bottom = lattice.bottom_id
+    oracle = cache(pres._table_membership)
 
-    member = {a: pres._table_membership(a, bottom) for a in points}
-    all_facets = lattice.face(bottom).zero_facets
-    scored_pred = {a: _shortcut_member(pres, "scored", a, all_facets) for a in points}
-    s2_pred = {
-        a: all(
-            pres._table_membership(a, lattice.facet_face_id(s.facet_id))
-            for s in pres.supports
+    def shortcut_agrees(route, faces) -> bool:
+        """Whether the route's shortcut matches the table oracle on every
+        box point of every given face."""
+        return all(
+            oracle(a, face.face_id) == _shortcut_member(pres, route, a, face.zero_facets)
+            for face in faces for a in points
         )
+
+    bottom = lattice.face(lattice.bottom_id)
+    facet_ids = [lattice.facet_face_id(s.facet_id) for s in pres.supports]
+    pres.normal = shortcut_agrees("normal", [bottom])
+    pres.scored = shortcut_agrees("scored", [bottom])
+    pres.serre_s2 = all(
+        oracle(a, bottom.face_id) == all(oracle(a, f) for f in facet_ids)
         for a in points
-    }
-    pres.normal = all(member.values())
-    pres.scored = all(member[a] == scored_pred[a] for a in points)
-    pres.serre_s2 = all(member[a] == s2_pred[a] for a in points)
+    )
     if (pres.normal and not pres.scored) or (pres.scored and not pres.serre_s2):
         raise AssertionError("flags violate normal => scored => Serre-S2")
     pres.verification_box = tuple(caps[s.facet_id] for s in pres.supports)
-
-    # validate the flag shortcuts against the table oracle before trusting them
-    valid_normal = pres.normal
-    valid_scored = pres.scored
-    if pres.normal or pres.scored:
-        for face in lattice.faces:
-            if face.face_id == lattice.top_id:
-                continue
-            zf = face.zero_facets
-            for a in points:
-                oracle = pres._table_membership(a, face.face_id)
-                if valid_normal and oracle != _shortcut_member(pres, "normal", a, zf):
-                    valid_normal = False
-                if valid_scored and oracle != _shortcut_member(pres, "scored", a, zf):
-                    valid_scored = False
-            if not (valid_normal or valid_scored):
-                break
-    if pres.normal and valid_normal:
-        pres.fast_path = "normal"
-    elif pres.scored and valid_scored:
-        pres.fast_path = "scored"
-    else:
-        pres.fast_path = None
+    # trust a flag shortcut only where it matches the table oracle on the
+    # box for every proper face
+    proper = [f for f in lattice.faces if f.face_id != lattice.top_id]
+    pres.fast_path = next(
+        (route for route, flag in (("normal", pres.normal), ("scored", pres.scored))
+         if flag and shortcut_agrees(route, proper)),
+        None,
+    )

@@ -1,5 +1,6 @@
 """Complex slices, ranks, module assembly, socle probes."""
 
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -265,6 +266,25 @@ def test_module_support_empty_above_generator_count(pres_hartshorne):
     assert not module_support(pres_hartshorne, ideal, t + 1, (-2, -1, 0))
     probe = socle_probe(pres_hartshorne, ideal, t + 1, [2])
     assert probe.counts == ((2, 0),)
+
+
+@pytest.mark.parametrize("radii", [[], [-1], [3, -2]])
+def test_socle_probe_rejects_bad_radii(pres_hartshorne, radii):
+    ideal = MonomialIdeal.from_degrees(pres_hartshorne, CORPUS["dim3_hartshorne"][1])
+    with pytest.raises(ValueError):
+        socle_probe(pres_hartshorne, ideal, 2, radii)
+
+
+def test_socle_probe_evaluates_support_once_per_degree(pres_hartshorne, monkeypatch):
+    ideal = MonomialIdeal.from_degrees(pres_hartshorne, CORPUS["dim3_hartshorne"][1])
+    asked = Counter()
+    monkeypatch.setattr(
+        cohomology, "module_support",
+        lambda p, i, k, a: asked.update([tuple(a)]) or module_support(p, i, k, a))
+    probe = socle_probe(pres_hartshorne, ideal, 2, [5])
+    assert probe.counts == ((5, 6),)
+    assert max(asked.values()) == 1
+    assert len(asked) >= 11 ** 3
 
 
 def _reference_cech_ranks(pres, ideal, a):

@@ -1,5 +1,6 @@
 """Signatures, class enumeration, sector partition, class order."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from toriclc import (
     sector_inventory,
     signature_leq,
 )
+from toriclc import sectors
 from toriclc.sectors import face_residue_reps
 
 
@@ -234,6 +236,29 @@ def test_class_representative_signature_consistency():
             assert degree_signature(pres, cls.representative) == cls.signature
             sigs.add(cls.signature)
         assert len(sigs) == len(enum.classes)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_class_samples_distinct_and_led_by_representative(name):
+    pres = presentation(name)
+    for cls in enumeration(name).classes:
+        assert cls.samples[0] == cls.representative, cls.class_id
+        assert len(set(cls.samples)) == len(cls.samples), cls.class_id
+        assert all(degree_signature(pres, a) == cls.signature for a in cls.samples)
+
+
+@pytest.mark.parametrize("name", ["dim1_weyl", "dim2_nonscored", "dim3_hartshorne"])
+def test_class_scan_computes_each_signature_of_final_box_once(name, monkeypatch):
+    pres = presentation(name)
+    signed = Counter()
+    monkeypatch.setattr(
+        sectors, "degree_signature",
+        lambda p, a: signed.update([a]) or degree_signature(p, a))
+    enum = sectors.enumerate_classes(pres)
+    r = enum.radius
+    assert sum(signed.values()) == (2 * r + 1) ** pres.dim
+    assert set(signed) == set(product(range(-r, r + 1), repeat=pres.dim))
+    assert enum.classes == enumeration(name).classes
 
 
 def test_signature_partition_strictly_refines_sectors_with_torsion():

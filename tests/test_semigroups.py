@@ -1,5 +1,7 @@
 """Membership oracles, numerical semigroups, classification flags."""
 
+from collections import Counter
+
 import pytest
 
 from conftest import CORPUS, presentation
@@ -19,6 +21,7 @@ from toriclc import (
     numerical_semigroup,
     smallest_containing_face,
 )
+from toriclc import semigroups
 from toriclc.errors import FullLatticeRequired
 from toriclc.semigroups import _facet_box_points
 
@@ -102,16 +105,20 @@ def test_face_localization_top_and_bottom(pres_2dim):
         in_semigroup(pres_2dim, (2, 1))
 
 
+def _box_points(pres):
+    caps = {
+        s.facet_id: pres.facet_semigroup(s.facet_id).conductor + pres.box_margin
+        for s in pres.supports
+    }
+    return _facet_box_points(pres, caps)
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_fast_paths_and_dfs_agree_on_box(name):
     # dual-route check: table/fast-path answers match the independent
     # depth-first oracle on the verification box, for every face
     pres = presentation(name)
-    caps = {
-        s.facet_id: pres.facet_semigroup(s.facet_id).conductor + pres.box_margin
-        for s in pres.supports
-    }
-    points = _facet_box_points(pres, caps)
+    points = _box_points(pres)
     step = max(1, len(points) // 40)
     sample = points[::step]
     for face in pres.face_lattice.faces:
@@ -130,18 +137,65 @@ def test_dfs_agrees_off_box(pres_2dim):
 
 def test_classification_flags():
     expected = {
-        "dim1_weyl": (True, True, True),
-        "dim1_cusp": (False, True, True),
-        "dim1_2_5": (False, True, True),
-        "dim2_normal": (True, True, True),
-        "dim2_polynomial": (True, True, True),
-        "dim2_scored_nonnormal": (False, True, True),
-        "dim2_nonscored": (False, False, True),
-        "dim3_hartshorne": (True, True, True),
+        "dim1_weyl": (True, True, True, "normal"),
+        "dim1_cusp": (False, True, True, "scored"),
+        "dim1_2_5": (False, True, True, "scored"),
+        "dim1_3_4_5": (False, True, True, "scored"),
+        "dim1_3_5_7": (False, True, True, "scored"),
+        "dim1_4_6_9": (False, True, True, "scored"),
+        "dim2_normal": (True, True, True, "normal"),
+        "dim2_polynomial": (True, True, True, "normal"),
+        "dim2_scored_nonnormal": (False, True, True, "scored"),
+        "dim2_nonscored": (False, False, True, None),
+        "dim3_hartshorne": (True, True, True, "normal"),
     }
-    for name, (normal, scored, s2) in expected.items():
+    assert set(expected) == set(CORPUS)
+    for name, flags in expected.items():
         pres = presentation(name)
-        assert (pres.normal, pres.scored, pres.serre_s2) == (normal, scored, s2), name
+        got = (pres.normal, pres.scored, pres.serre_s2, pres.fast_path)
+        assert got == flags, name
+
+
+def test_classify_asks_table_oracle_once_per_point_and_face(monkeypatch):
+    calls = Counter()
+    table_membership = ToricPresentation._table_membership
+
+    def counted(self, a, face_id):
+        calls[(a, face_id)] += 1
+        return table_membership(self, a, face_id)
+
+    monkeypatch.setattr(ToricPresentation, "_table_membership", counted)
+    pres = ToricPresentation.build(CORPUS["dim3_hartshorne"][0])
+    points = set(_box_points(pres))
+    faces = {f.face_id for f in pres.face_lattice.faces}
+    assert calls and max(calls.values()) == 1
+    assert all(a in points and f in faces for a, f in calls)
+
+
+def _reject_on_facet_faces(monkeypatch, routes):
+    """Make the shortcuts of the given routes disagree with the table
+    oracle on every facet face, but not on the bottom face."""
+    original = semigroups._shortcut_member
+
+    def patched(pres, route, a, zero_facets):
+        got = original(pres, route, a, zero_facets)
+        return not got if route in routes and len(zero_facets) == 1 else got
+
+    monkeypatch.setattr(semigroups, "_shortcut_member", patched)
+
+
+def test_fast_path_falls_back_when_normal_shortcut_disagrees(monkeypatch):
+    _reject_on_facet_faces(monkeypatch, {"normal"})
+    pres = ToricPresentation.build(CORPUS["dim3_hartshorne"][0])
+    assert (pres.normal, pres.scored, pres.serre_s2) == (True, True, True)
+    assert pres.fast_path == "scored"
+
+
+def test_fast_path_off_when_both_shortcuts_disagree(monkeypatch):
+    _reject_on_facet_faces(monkeypatch, {"normal", "scored"})
+    pres = ToricPresentation.build(CORPUS["dim3_hartshorne"][0])
+    assert (pres.normal, pres.scored, pres.serre_s2) == (True, True, True)
+    assert pres.fast_path is None
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
