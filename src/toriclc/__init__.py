@@ -47,6 +47,7 @@ from .semigroups import (
     in_face_localization,
     in_monomial_localization,
     in_semigroup,
+    localization_faces,
     monomial_localization_witness,
     numerical_semigroup,
     smallest_containing_face,

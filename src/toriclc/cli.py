@@ -68,10 +68,12 @@ def _build_parser() -> _Parser:
     common(sub.add_parser("sectors", help="classes and sector partition"))
     p_lc = sub.add_parser("lc", help="local cohomology decomposition")
     common(p_lc)
-    p_lc.add_argument("--ideal", default=None,
-                      help="generator degrees, e.g. '1,1;0,2'")
-    p_lc.add_argument("--maximal", action="store_true",
-                      help="use the maximal graded ideal")
+    which = p_lc.add_mutually_exclusive_group()
+    which.add_argument("--ideal", default=None,
+                       help="generator degrees, e.g. '1,1;0,2' "
+                            "(not with --maximal)")
+    which.add_argument("--maximal", action="store_true",
+                       help="use the maximal graded ideal (not with --ideal)")
     p_lc.add_argument("--socle", default=None,
                       help="comma-separated socle box radii, e.g. '5,10,20'")
     common(sub.add_parser("grd", help="graded-ring exponent data"))
@@ -88,6 +90,10 @@ def _load(args):
     except OSError as exc:
         raise ProblemFormatError(
             f"cannot read problem file {args.problem}: {exc.strerror}"
+        ) from exc
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(
+            f"cannot read problem file {args.problem}: not UTF-8 text"
         ) from exc
     options = dict(problem.options)
     for key, floor in _OPTION_FLOORS.items():

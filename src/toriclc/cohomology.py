@@ -8,6 +8,8 @@ regions, so slices are constant on sectors and in particular on the finer
 signature classes.  Slice ranks are therefore memoized once per ideal,
 keyed by the set of localization faces whose support contains the degree,
 so the memo holds at most 2^#faces entries however many degrees are asked.
+That key comes from one localization_faces call per degree, which on the
+fast paths is one facet mask per degree.
 Assembly evaluates one representative per class and cross-checks
 additional samples, aborting on any disagreement instead of averaging.
 """
@@ -21,10 +23,13 @@ from itertools import combinations, product
 from . import intlinalg as la
 from .errors import ClassRankMismatch, GeneratorNotInSemigroup
 from .sectors import ClassEnumeration, ClassPoset, class_poset
-from .semigroups import (
+# in_face_localization is not called here; it stays bound because
+# perfbench's tracer patches the membership oracle in this module too
+from .semigroups import (  # noqa: F401
     ToricPresentation,
     in_face_localization,
     in_semigroup,
+    localization_faces,
     smallest_containing_face,
 )
 
@@ -126,11 +131,6 @@ def _cech_table(pres: ToricPresentation, ideal: MonomialIdeal) -> _CechTable:
     return table
 
 
-def _present_faces(pres: ToricPresentation, table: _CechTable, a) -> frozenset:
-    """The localization faces whose support contains the degree."""
-    return frozenset(f for f in table.faces if in_face_localization(pres, a, f))
-
-
 def _subset_sign(lo, hi) -> int:
     """(-1)^position in hi of the one index missing from lo; 0 unless lo is
     a subset of hi (|hi| = |lo| + 1, so exactly one index is missing)."""
@@ -138,15 +138,17 @@ def _subset_sign(lo, hi) -> int:
     return (-1) ** missing[0] if len(missing) == 1 else 0
 
 
-def cech_slice(pres: ToricPresentation, ideal: MonomialIdeal, a):
+def cech_slice(pres: ToricPresentation, ideal: MonomialIdeal, a, *, present=None):
     """Present subsets and differentials of the degree-a slice of the Cech
     complex on the ideal generators.
 
     The subset J is present iff the degree lies in the support of the
     localization at the sum of the J-degrees; signs follow the standard
-    alternating convention by position."""
+    alternating convention by position.  A caller that already knows the
+    localization faces containing the degree passes them as present."""
     table = _cech_table(pres, ideal)
-    present = _present_faces(pres, table, a)
+    if present is None:
+        present = localization_faces(pres, a, table.faces)
     labels = [[] for _ in range(len(ideal.generator_degrees) + 1)]
     for subset, fid in table.subset_faces.items():
         if fid in present:
@@ -163,10 +165,10 @@ def cech_ranks(pres: ToricPresentation, ideal: MonomialIdeal, a) -> tuple:
     """Cohomology ranks, by cohomological degree 0..#generators, of the
     degree-a slice of the Cech complex."""
     table = _cech_table(pres, ideal)
-    present = _present_faces(pres, table, a)
+    present = localization_faces(pres, a, table.faces)
     ranks = table.ranks.get(present)
     if ranks is None:
-        labels, diffs = cech_slice(pres, ideal, a)
+        labels, diffs = cech_slice(pres, ideal, a, present=present)
         ranks = _complex_ranks([len(l) for l in labels], diffs)
         table.ranks[present] = ranks
     return ranks

@@ -27,7 +27,7 @@ from itertools import product
 
 from . import intlinalg as la
 from .errors import CycleDetected
-from .semigroups import ToricPresentation, in_face_localization
+from .semigroups import ToricPresentation, in_face_localization, localization_faces
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,19 @@ def face_residues(pres: ToricPresentation, a, face_id: int) -> frozenset:
 
 
 def degree_signature(pres: ToricPresentation, a) -> Signature:
+    """Per-face residue sets of the degree: residue 0 of every face comes
+    from one localization_faces call, and only the nonzero torsion
+    representatives are asked face by face."""
     a = la.vec(a)
+    face_ids = range(len(pres.face_lattice))
+    present = localization_faces(pres, a, face_ids)
     return Signature(tuple(
-        face_residues(pres, a, face.face_id) for face in pres.face_lattice.faces
+        frozenset(
+            i for i, rep in enumerate(face_residue_reps(pres, fid))
+            if (fid in present if i == 0
+                else in_face_localization(pres, la.vsub(a, rep), fid))
+        )
+        for fid in face_ids
     ))
 
 
@@ -83,7 +93,7 @@ def sector_of_signature(sig: Signature) -> frozenset:
 
 def sector_faces(pres: ToricPresentation, a) -> frozenset:
     """The filter of faces whose translated semigroup contains the degree."""
-    return sector_of_signature(degree_signature(pres, a))
+    return localization_faces(pres, a, range(len(pres.face_lattice)))
 
 
 @dataclass(frozen=True)

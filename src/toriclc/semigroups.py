@@ -22,7 +22,11 @@ in the semigroup translated by a face group reduces to sign checks of the
 support functions of the facets containing the face; for a scored one, to
 value checks against the facet numerical semigroups.  Both shortcuts are
 validated against the table oracle on the verification box before being
-trusted, and are disabled on any disagreement.
+trusted, and are disabled on any disagreement.  On a trusted shortcut,
+fast-path membership is one facet mask per degree: localization_faces
+evaluates every facet once, collects the facets that fail the route's test
+into a bitmask, and a face's localization contains the degree iff none of
+the face's facets is in that mask.
 """
 
 from __future__ import annotations
@@ -153,6 +157,7 @@ class ToricPresentation:
         self._tables = {}
         self._residue_reps = {}
         self._cech_tables = {}
+        self._zero_facet_masks = ()
         self.normal = None
         self.scored = None
         self.serre_s2 = None
@@ -160,6 +165,11 @@ class ToricPresentation:
         self.verification_box = None
         if self.pointed:
             self._face_lattice = build_face_lattice(matrix, self.supports)
+            # bit s of a face's mask is set iff facet s contains the face
+            self._zero_facet_masks = tuple(
+                sum(1 << s for s in face.zero_facets)
+                for face in self._face_lattice.faces
+            )
             _classify(self)
         return self
 
@@ -325,15 +335,47 @@ class _BfsTable:
 # -- public membership oracles ----------------------------------------------
 
 
+def _facet_passes(pres: ToricPresentation, route: str, facet_id: int, value: int) -> bool:
+    """The route's test on one facet value: nonnegative for route "normal",
+    in the facet numerical semigroup for route "scored"."""
+    if route == "normal":
+        return value >= 0
+    return value in pres.facet_semigroup(facet_id)
+
+
 def _shortcut_member(pres: ToricPresentation, route: str, a, zero_facets) -> bool:
     """The flag shortcut for membership in (semigroup + group of the face
-    cut out by zero_facets): sign checks of those support functions for
-    route "normal", facet numerical semigroup checks for route "scored"."""
-    if route == "normal":
-        return all(pres.supports[s].value(a) >= 0 for s in zero_facets)
+    cut out by zero_facets): every one of those facets passes the route's
+    test at the degree."""
     return all(
-        pres.supports[s].value(a) in pres.facet_semigroup(s) for s in zero_facets
+        _facet_passes(pres, route, s, pres.supports[s].value(a)) for s in zero_facets
     )
+
+
+def _failing_facets(pres: ToricPresentation, route: str, a) -> int:
+    """Bitmask of the facets whose value at the degree fails the route's
+    test, from one pass over the facet rows."""
+    mask = 0
+    for s in pres.supports:
+        if not _facet_passes(pres, route, s.facet_id, s.value(a)):
+            mask |= 1 << s.facet_id
+    return mask
+
+
+def localization_faces(pres: ToricPresentation, a, face_ids) -> frozenset:
+    """The faces among face_ids whose localization (semigroup + group of the
+    face) contains the degree.
+
+    On a fast path the failing-facet mask is computed once and each face is
+    present iff its zero-facet mask misses it; on the table path each face
+    is asked in the given order, so table rebuilds follow the queries."""
+    pres._require_pointed()
+    a = la.vec(a)
+    if pres.fast_path is None:
+        return frozenset(f for f in face_ids if in_face_localization(pres, a, f))
+    failing = _failing_facets(pres, pres.fast_path, a)
+    masks = pres._zero_facet_masks
+    return frozenset(f for f in face_ids if not masks[f] & failing)
 
 
 def in_semigroup(pres: ToricPresentation, a) -> bool:
@@ -345,12 +387,11 @@ def in_face_localization(pres: ToricPresentation, a, face_id: int) -> bool:
     """Exact test for membership in (semigroup + group of the face)."""
     pres._require_pointed()
     a = la.vec(a)
-    lattice = pres.face_lattice
-    if face_id == lattice.top_id:
+    if face_id == pres.face_lattice.top_id:
         return True
     if pres.fast_path is None:
         return pres._table_membership(a, face_id)
-    return _shortcut_member(pres, pres.fast_path, a, lattice.face(face_id).zero_facets)
+    return face_id in localization_faces(pres, a, (face_id,))
 
 
 def face_membership_search(pres: ToricPresentation, a, face_id: int,

@@ -18,12 +18,13 @@ from toriclc import (
     in_semigroup,
     ishida_ranks,
     local_cohomology_max,
+    localization_faces,
     module_support,
     sector_faces,
     smallest_containing_face,
     socle_probe,
 )
-from toriclc import cohomology
+from toriclc import cohomology, semigroups
 from toriclc import intlinalg as la
 from toriclc.cohomology import cech_slice, ishida_slice
 
@@ -347,19 +348,37 @@ def test_cech_ranks_hit_queries_faces_and_builds_nothing(monkeypatch):
     ideal = MonomialIdeal.maximal_ideal(pres)
     queries, slices = [], []
     monkeypatch.setattr(
-        cohomology, "in_face_localization",
-        lambda p, a, f: queries.append(f) or in_face_localization(p, a, f))
+        cohomology, "localization_faces",
+        lambda p, a, faces: queries.append(tuple(faces)) or localization_faces(p, a, faces))
     monkeypatch.setattr(
         cohomology, "cech_slice",
-        lambda p, i, a: slices.append(a) or cech_slice(p, i, a))
+        lambda p, i, a, **kw: slices.append(a) or cech_slice(p, i, a, **kw))
     miss = cech_ranks(pres, ideal, (-1, -1))
     assert len(slices) == 1
     table = pres._cech_tables[ideal.generator_degrees]
     assert table.faces[0] == pres.face_lattice.bottom_id
-    first = list(dict.fromkeys(table.subset_faces.values()))
-    assert list(table.faces) == first
+    first = tuple(dict.fromkeys(table.subset_faces.values()))
+    assert table.faces == first
+    # the slice built on a miss reuses the faces already found
+    assert queries == [first]
     queries.clear()
     # (-2, -2) lies in the same localizations as (-1, -1)
     assert cech_ranks(pres, ideal, (-2, -2)) == miss
-    assert queries == first
+    assert queries == [first]
     assert len(slices) == 1
+
+
+def test_socle_probe_computes_failing_facets_once_per_degree(monkeypatch):
+    pres = ToricPresentation.build(CORPUS["dim3_hartshorne"][0])
+    assert pres.fast_path == "normal"
+    ideal = MonomialIdeal.from_degrees(pres, CORPUS["dim3_hartshorne"][1])
+    cech_ranks(pres, ideal, (0, 0, 0))  # builds the per-ideal table first
+    asked = Counter()
+    failing_facets = semigroups._failing_facets
+    monkeypatch.setattr(
+        semigroups, "_failing_facets",
+        lambda p, route, a: asked.update([tuple(a)]) or failing_facets(p, route, a))
+    probe = socle_probe(pres, ideal, 2, [5])
+    assert probe.counts == ((5, 6),)
+    assert max(asked.values()) == 1
+    assert len(asked) >= 11 ** 3

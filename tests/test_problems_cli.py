@@ -227,12 +227,15 @@ def test_cli_sublattice_exit_code(tmp_path, capsys):
     (["lc", "dim2_normal", "--ideal=5,-1"], 4),
     (["lc", "dim2_normal", "--ideal=0,0"], 4),
     (["analyze", "missing_file"], 4),
+    (["analyze", "non_utf8"], 4),
+    (["lc", "dim2_normal", "--ideal=1,0", "--maximal"], 4),
     (["grd", "line"], 2),
     (["analyze", "dim2_normal", "--output",
       str(CORPUS_DIR / "no-such-dir" / "report.json")], 4),
 ], ids=["box-negative", "box-zero", "samples-zero", "bound-zero",
         "bound-negative", "margin-negative", "box-zero-in-file", "socle-text",
-        "socle-negative", "ideal-outside", "ideal-unit", "missing-file",
+        "socle-negative", "ideal-outside", "ideal-unit", "missing-file", "non-utf8",
+        "ideal-and-maximal",
         "grd-not-pointed", "output-missing-dir"])
 def test_cli_exit_code_contract(tmp_path, capsys, argv, code):
     """Bad input gives its documented exit code and a one-line error."""
@@ -240,10 +243,12 @@ def test_cli_exit_code_contract(tmp_path, capsys, argv, code):
         "dim2_normal": CORPUS_DIR / "dim2_normal.toric",
         "box_zero_in_file": tmp_path / "box0.toric",
         "missing_file": tmp_path / "missing.toric",
+        "non_utf8": tmp_path / "latin1.toric",
         "line": tmp_path / "line.toric",
     }
     problems["box_zero_in_file"].write_text("matrix:\n2 3\nbox: 0\n")
     problems["line"].write_text("matrix:\n1 -1\n")
+    problems["non_utf8"].write_bytes(b"matrix:\n2 3\n# \xff\n")
     command, name, *flags = argv
     assert run([command, str(problems[name]), *flags]) == code
     errors = [line for line in capsys.readouterr().err.splitlines()

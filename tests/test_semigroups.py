@@ -3,6 +3,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS, presentation
 
@@ -11,12 +13,15 @@ from toriclc import (
     GeneratorNotInSemigroup,
     NotPointed,
     ToricPresentation,
+    degree_signature,
     escape_count,
     face_membership_search,
+    face_residues,
     in_escape_set,
     in_face_localization,
     in_monomial_localization,
     in_semigroup,
+    localization_faces,
     monomial_localization_witness,
     numerical_semigroup,
     smallest_containing_face,
@@ -125,6 +130,22 @@ def test_fast_paths_and_dfs_agree_on_box(name):
         for a in sample:
             assert in_face_localization(pres, a, face.face_id) == \
                 face_membership_search(pres, a, face.face_id)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_localization_faces_match_search_and_residues(name, data):
+    # covers the normal, scored and table routes: the batched faces equal
+    # the depth-first oracle face by face, and the signature built on them
+    # equals the per-face residue sets
+    pres = presentation(name)
+    a = data.draw(st.tuples(*[st.integers(-8, 8)] * pres.dim), label="degree")
+    faces = [f.face_id for f in pres.face_lattice.faces]
+    assert localization_faces(pres, a, faces) == frozenset(
+        f for f in faces if face_membership_search(pres, a, f))
+    assert degree_signature(pres, a).residues == tuple(
+        face_residues(pres, a, f) for f in faces)
 
 
 def test_dfs_agrees_off_box(pres_2dim):
