@@ -138,17 +138,15 @@ def _subset_sign(lo, hi) -> int:
     return (-1) ** missing[0] if len(missing) == 1 else 0
 
 
-def cech_slice(pres: ToricPresentation, ideal: MonomialIdeal, a, *, present=None):
+def cech_slice(pres: ToricPresentation, ideal: MonomialIdeal, a):
     """Present subsets and differentials of the degree-a slice of the Cech
     complex on the ideal generators.
 
     The subset J is present iff the degree lies in the support of the
     localization at the sum of the J-degrees; signs follow the standard
-    alternating convention by position.  A caller that already knows the
-    localization faces containing the degree passes them as present."""
+    alternating convention by position."""
     table = _cech_table(pres, ideal)
-    if present is None:
-        present = localization_faces(pres, a, table.faces)
+    present = localization_faces(pres, a, table.faces)
     labels = [[] for _ in range(len(ideal.generator_degrees) + 1)]
     for subset, fid in table.subset_faces.items():
         if fid in present:
@@ -168,7 +166,7 @@ def cech_ranks(pres: ToricPresentation, ideal: MonomialIdeal, a) -> tuple:
     present = localization_faces(pres, a, table.faces)
     ranks = table.ranks.get(present)
     if ranks is None:
-        labels, diffs = cech_slice(pres, ideal, a, present=present)
+        labels, diffs = cech_slice(pres, ideal, a)
         ranks = _complex_ranks([len(l) for l in labels], diffs)
         table.ranks[present] = ranks
     return ranks

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import mul
 
 Vector = tuple
 Matrix = tuple
@@ -56,7 +55,7 @@ def vscale(k: int, v: Vector) -> Vector:
 
 
 def dot(u: Vector, v: Vector) -> int:
-    return sum(map(mul, u, v))
+    return sum(a * b for a, b in zip(u, v))
 
 
 def is_zero_vector(v: Vector) -> bool:

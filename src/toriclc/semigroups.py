@@ -23,10 +23,11 @@ support functions of the facets containing the face; for a scored one, to
 value checks against the facet numerical semigroups.  Both shortcuts are
 validated against the table oracle on the verification box before being
 trusted, and are disabled on any disagreement.  On a trusted shortcut,
-fast-path membership is one facet mask per degree: localization_faces
-evaluates every facet once, collects the facets that fail the route's test
-into a bitmask, and a face's localization contains the degree iff none of
-the face's facets is in that mask.
+asking many faces about one degree is one facet mask per degree:
+localization_faces evaluates every facet once, collects the facets that
+fail the route's test into a bitmask, and a face's localization contains
+the degree iff none of the face's facets is in that mask.  A single face
+(in_face_localization) tests only the facets containing it.
 """
 
 from __future__ import annotations
@@ -387,11 +388,12 @@ def in_face_localization(pres: ToricPresentation, a, face_id: int) -> bool:
     """Exact test for membership in (semigroup + group of the face)."""
     pres._require_pointed()
     a = la.vec(a)
-    if face_id == pres.face_lattice.top_id:
+    lattice = pres.face_lattice
+    if face_id == lattice.top_id:
         return True
     if pres.fast_path is None:
         return pres._table_membership(a, face_id)
-    return face_id in localization_faces(pres, a, (face_id,))
+    return _shortcut_member(pres, pres.fast_path, a, lattice.face(face_id).zero_facets)
 
 
 def face_membership_search(pres: ToricPresentation, a, face_id: int,

@@ -138,12 +138,13 @@ def test_fast_paths_and_dfs_agree_on_box(name):
 def test_localization_faces_match_search_and_residues(name, data):
     # covers the normal, scored and table routes: the batched faces equal
     # the depth-first oracle face by face, and the signature built on them
-    # equals the per-face residue sets
+    # equals the per-face residue sets; the default search bound (30) is
+    # too small for some Hartshorne degrees of this box, 100 covers all of it
     pres = presentation(name)
     a = data.draw(st.tuples(*[st.integers(-8, 8)] * pres.dim), label="degree")
     faces = [f.face_id for f in pres.face_lattice.faces]
     assert localization_faces(pres, a, faces) == frozenset(
-        f for f in faces if face_membership_search(pres, a, f))
+        f for f in faces if face_membership_search(pres, a, f, search_bound=100))
     assert degree_signature(pres, a).residues == tuple(
         face_residues(pres, a, f) for f in faces)
 
