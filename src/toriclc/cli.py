@@ -7,7 +7,7 @@ Subcommands:
     grd      -- graded-ring exponent data and certificates
 
 Exit codes: 0 success, 2 hypothesis failed, 3 search bound exceeded,
-4 parse/usage error.
+4 parse/usage error, 5 internal invariant failed.
 """
 
 from __future__ import annotations
@@ -22,11 +22,14 @@ from . import intlinalg as la
 from . import reporting as rp
 from . import sectors as se
 from .errors import (
+    ClassRankMismatch,
+    CycleDetected,
     DimensionUnsupported,
     FullLatticeRequired,
     GeneratorNotInSemigroup,
     HypothesisFailed,
     IsNormal,
+    NoInteriorPoint,
     NotFullDimensional,
     NotPointed,
     NotScored,
@@ -276,6 +279,9 @@ def run(argv=None) -> int:
             DimensionUnsupported) as exc:
         print(f"error: hypothesis failed: {exc}", file=sys.stderr)
         return 2
+    except (ClassRankMismatch, CycleDetected, NoInteriorPoint, AssertionError) as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 5
     finally:
         elapsed = time.monotonic() - started
         print(f"toriclc: completed in {elapsed:.2f}s", file=sys.stderr)

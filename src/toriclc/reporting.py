@@ -65,6 +65,7 @@ def _presentation_fragment(pres: ToricPresentation) -> dict:
             "normal": pres.normal,
             "scored": pres.scored,
             "serre_s2": pres.serre_s2,
+            "evidence": dict(pres.flag_evidence),
             "verification_box": list(pres.verification_box),
             "fast_path": pres.fast_path,
         }
@@ -235,14 +236,17 @@ def _human_flags(fragment: dict, lines: list) -> None:
     )
     if "flags" in fragment:
         fl = fragment["flags"]
-        lines.append(
-            f"normal: {fl['normal']}   scored: {fl['scored']}   "
-            f"serre_s2: {fl['serre_s2']}"
-        )
-        lines.append(
-            f"verified on facet-value box {fl['verification_box']}"
-            f"   fast path: {fl['fast_path']}"
-        )
+        names = ("normal", "scored", "serre_s2")
+        lines.append("   ".join(
+            f"{n}: {fl[n]} ({fl['evidence'][n]})" for n in names
+        ))
+        boxed = [n for n in names if fl["evidence"][n] == "box"]
+        if boxed:
+            lines.append(
+                f"{', '.join(boxed)} verified on facet-value box "
+                f"{fl['verification_box']}"
+            )
+        lines.append(f"fast path: {fl['fast_path']}")
     lines.append("facets:")
     for f in fragment["facets"]:
         ns = f["value_semigroup"]

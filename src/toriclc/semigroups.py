@@ -3,9 +3,12 @@ pointed affine semigroup presented by the columns of an integer matrix.
 
 The central object is ToricPresentation: the matrix together with its cone
 geometry, the numerical semigroups cut out by the facet support functions,
-and the flags normal / scored / Serre-S2.  The flags are checked
-exhaustively on a finite facet-value box and reported together with that
-box; they are exact definitions restricted to the box, not global proofs.
+and the flags normal / scored / Serre-S2.  Normality is decided exactly,
+by the table oracle on the box that holds every parallelepiped point of
+every simplicial cone spanned by columns.  The other two flags are checked
+exhaustively on a finite facet-value box, reported together with that box:
+a false flag has a witness there, a true one is the exact definition
+restricted to the box, not a global proof.
 
 Membership decisions are exact.  Key observation: every representation of
 a degree as a nonnegative combination of columns (plus an element of a
@@ -17,12 +20,13 @@ whose values fit under the cap.  A depth-first solver with the same
 contract is kept as an independent oracle for cross-validation; the two
 must agree wherever both can answer.
 
-Flags enable shortcuts: for a (box-verified) normal semigroup, membership
-in the semigroup translated by a face group reduces to sign checks of the
-support functions of the facets containing the face; for a scored one, to
-value checks against the facet numerical semigroups.  Both shortcuts are
-validated against the table oracle on the verification box before being
-trusted, and are disabled on any disagreement.  On a trusted shortcut,
+Flags enable shortcuts: for a normal semigroup, membership in the
+semigroup translated by a face group reduces to sign checks of the support
+functions of the facets containing the face; for a scored one, to value
+checks against the facet numerical semigroups.  The normal shortcut
+follows from normality; the scored one is validated against the table
+oracle on the verification box, through the failing-facet masks that
+answer the queries, and is disabled on any disagreement.  On a shortcut,
 asking many faces about one degree is one facet mask per degree:
 localization_faces evaluates every facet once, collects the facets that
 fail the route's test into a bitmask, and a face's localization contains
@@ -164,6 +168,7 @@ class ToricPresentation:
         self.serre_s2 = None
         self.fast_path = None
         self.verification_box = None
+        self.flag_evidence = None
         if self.pointed:
             self._face_lattice = build_face_lattice(matrix, self.supports)
             # bit s of a face's mask is set iff facet s contains the face
@@ -344,15 +349,6 @@ def _facet_passes(pres: ToricPresentation, route: str, facet_id: int, value: int
     return value in pres.facet_semigroup(facet_id)
 
 
-def _shortcut_member(pres: ToricPresentation, route: str, a, zero_facets) -> bool:
-    """The flag shortcut for membership in (semigroup + group of the face
-    cut out by zero_facets): every one of those facets passes the route's
-    test at the degree."""
-    return all(
-        _facet_passes(pres, route, s, pres.supports[s].value(a)) for s in zero_facets
-    )
-
-
 def _failing_facets(pres: ToricPresentation, route: str, a) -> int:
     """Bitmask of the facets whose value at the degree fails the route's
     test, from one pass over the facet rows."""
@@ -393,7 +389,10 @@ def in_face_localization(pres: ToricPresentation, a, face_id: int) -> bool:
         return True
     if pres.fast_path is None:
         return pres._table_membership(a, face_id)
-    return _shortcut_member(pres, pres.fast_path, a, lattice.face(face_id).zero_facets)
+    return all(
+        _facet_passes(pres, pres.fast_path, s, pres.supports[s].value(a))
+        for s in lattice.face(face_id).zero_facets
+    )
 
 
 def face_membership_search(pres: ToricPresentation, a, face_id: int,
@@ -574,39 +573,64 @@ def _facet_box_points(pres: ToricPresentation, caps) -> list:
     return points
 
 
+def _normal_caps(pres: ToricPresentation) -> dict:
+    """Per facet, the sum of its dim largest column values.  A lattice point
+    of the half-open parallelepiped spanned by dim independent columns has
+    a smaller value on every facet, so the box under these caps holds every
+    such point of every simplicial cone spanned by columns."""
+    return {
+        s.facet_id: sum(sorted((s.value(c) for c in pres.columns), reverse=True)[:pres.dim])
+        for s in pres.supports
+    }
+
+
 def _classify(pres: ToricPresentation) -> None:
+    lattice = pres.face_lattice
+    bottom = lattice.bottom_id
+    oracle = cache(pres._table_membership)
     caps = {
         s.facet_id: pres.facet_semigroup(s.facet_id).conductor + pres.box_margin
         for s in pres.supports
     }
+    pres.verification_box = tuple(caps[s.facet_id] for s in pres.supports)
+    # Q is normal iff it holds every parallelepiped point of every simplicial
+    # cone spanned by columns (Bruns-Gubeladze, Polytopes, Rings, and
+    # K-Theory, 2009).  Every point of the normal box lies in the cone, so a
+    # point outside Q is a hole and the verdict is exact either way.
+    pres.normal = all(oracle(a, bottom) for a in _facet_box_points(pres, _normal_caps(pres)))
+    if pres.normal:
+        # normal => scored => S2, and each localization is cut out by the
+        # facets containing its face, so no per-face check is needed
+        pres.scored = pres.serre_s2 = True
+        pres.fast_path = "normal"
+        pres.flag_evidence = dict.fromkeys(("normal", "scored", "serre_s2"), "certified")
+        return
     points = _facet_box_points(pres, caps)
-    lattice = pres.face_lattice
-    oracle = cache(pres._table_membership)
+    failing = [_failing_facets(pres, "scored", a) for a in points]
+    masks = pres._zero_facet_masks
 
-    def shortcut_agrees(route, faces) -> bool:
-        """Whether the route's shortcut matches the table oracle on every
+    def masks_agree(face_ids) -> bool:
+        """Whether the scored facet masks match the table oracle on every
         box point of every given face."""
         return all(
-            oracle(a, face.face_id) == _shortcut_member(pres, route, a, face.zero_facets)
-            for face in faces for a in points
+            oracle(a, f) == (not masks[f] & fail)
+            for f in face_ids for a, fail in zip(points, failing)
         )
 
-    bottom = lattice.face(lattice.bottom_id)
     facet_ids = [lattice.facet_face_id(s.facet_id) for s in pres.supports]
-    pres.normal = shortcut_agrees("normal", [bottom])
-    pres.scored = shortcut_agrees("scored", [bottom])
+    pres.scored = masks_agree([bottom])
     pres.serre_s2 = all(
-        oracle(a, bottom.face_id) == all(oracle(a, f) for f in facet_ids)
-        for a in points
+        oracle(a, bottom) == all(oracle(a, f) for f in facet_ids) for a in points
     )
-    if (pres.normal and not pres.scored) or (pres.scored and not pres.serre_s2):
-        raise AssertionError("flags violate normal => scored => Serre-S2")
-    pres.verification_box = tuple(caps[s.facet_id] for s in pres.supports)
-    # trust a flag shortcut only where it matches the table oracle on the
+    if pres.scored and not pres.serre_s2:
+        raise AssertionError("flags violate scored => Serre-S2")
+    # a false flag has a witness on the box; a true one is only box-checked
+    pres.flag_evidence = {
+        "normal": "certified",
+        "scored": "box" if pres.scored else "certified",
+        "serre_s2": "box" if pres.serre_s2 else "certified",
+    }
+    # trust the scored masks only where they match the table oracle on the
     # box for every proper face
-    proper = [f for f in lattice.faces if f.face_id != lattice.top_id]
-    pres.fast_path = next(
-        (route for route, flag in (("normal", pres.normal), ("scored", pres.scored))
-         if flag and shortcut_agrees(route, proper)),
-        None,
-    )
+    proper = [f.face_id for f in lattice.faces if f.face_id != lattice.top_id]
+    pres.fast_path = "scored" if pres.scored and masks_agree(proper) else None

@@ -6,8 +6,14 @@ import pytest
 
 from conftest import CORPUS_DIR
 
+from toriclc import cohomology, grading, sectors, semigroups
 from toriclc.cli import run
-from toriclc.errors import ProblemFormatError
+from toriclc.errors import (
+    ClassRankMismatch,
+    CycleDetected,
+    NoInteriorPoint,
+    ProblemFormatError,
+)
 from toriclc.problems import parse_degree_list, parse_problem
 
 
@@ -88,6 +94,19 @@ def test_cli_analyze_machine(capsys):
     assert report["schema"] == "toriclc-report/1"
     assert report["presentation"]["flags"]["scored"] is True
     assert report["presentation"]["facets"][0]["value_semigroup"]["gaps"] == [1]
+
+
+def test_cli_flag_evidence(capsys):
+    _, out = _run(capsys, "analyze", str(CORPUS_DIR / "dim3_hartshorne.toric"),
+                  "--format", "machine")
+    flags = json.loads(out)["presentation"]["flags"]
+    assert flags["evidence"] == {
+        "normal": "certified", "scored": "certified", "serre_s2": "certified"}
+    _, out = _run(capsys, "analyze", str(CORPUS_DIR / "dim3_hartshorne.toric"))
+    assert "normal: True (certified)" in out and "facet-value box" not in out
+    _, out = _run(capsys, "analyze", str(CORPUS_DIR / "dim2_nonscored.toric"))
+    assert "scored: False (certified)" in out
+    assert "\nserre_s2 verified on facet-value box [10, 10]\n" in out
 
 
 def test_cli_sectors(capsys):
@@ -232,13 +251,37 @@ def test_cli_sublattice_exit_code(tmp_path, capsys):
     (["grd", "line"], 2),
     (["analyze", "dim2_normal", "--output",
       str(CORPUS_DIR / "no-such-dir" / "report.json")], 4),
+    (["analyze", "broken_classify"], 5),
+    (["sectors", "broken_class_order"], 5),
+    (["lc", "broken_class_ranks"], 5),
+    (["grd", "broken_interior_point"], 5),
 ], ids=["box-negative", "box-zero", "samples-zero", "bound-zero",
         "bound-negative", "margin-negative", "box-zero-in-file", "socle-text",
         "socle-negative", "ideal-outside", "ideal-unit", "missing-file", "non-utf8",
         "ideal-and-maximal",
-        "grd-not-pointed", "output-missing-dir"])
-def test_cli_exit_code_contract(tmp_path, capsys, argv, code):
-    """Bad input gives its documented exit code and a one-line error."""
+        "grd-not-pointed", "output-missing-dir", "invariant-assertion",
+        "invariant-cycle", "invariant-rank-mismatch", "invariant-interior-point"])
+def test_cli_exit_code_contract(tmp_path, capsys, monkeypatch, argv, code):
+    """Bad input gives its documented exit code and a one-line error; a
+    broken internal invariant (simulated by a patched stage) exits 5."""
+    def fail(exc):
+        def raiser(*args, **kwargs):
+            raise exc
+        return raiser
+
+    broken = {
+        "broken_classify": (semigroups, "_classify",
+                            AssertionError("flags violate scored => Serre-S2")),
+        "broken_class_order": (sectors, "class_poset", CycleDetected("cycle")),
+        "broken_class_ranks": (cohomology, "assemble_module",
+                               ClassRankMismatch("ranks differ")),
+        "broken_interior_point": (grading, "verify_exponent_identities",
+                                  NoInteriorPoint("no interior degree")),
+    }
+    if argv[1] in broken:
+        module, name, exc = broken[argv[1]]
+        monkeypatch.setattr(module, name, fail(exc))
+        argv = [argv[0], "dim2_normal", *argv[2:]]
     problems = {
         "dim2_normal": CORPUS_DIR / "dim2_normal.toric",
         "box_zero_in_file": tmp_path / "box0.toric",
@@ -254,3 +297,4 @@ def test_cli_exit_code_contract(tmp_path, capsys, argv, code):
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
     assert len(errors) == 1
+    assert (code == 5) == errors[0].startswith("error: internal invariant failed: ")

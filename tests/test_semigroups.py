@@ -1,6 +1,7 @@
 """Membership oracles, numerical semigroups, classification flags."""
 
 from collections import Counter
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -178,7 +179,8 @@ def test_classification_flags():
         assert got == flags, name
 
 
-def test_classify_asks_table_oracle_once_per_point_and_face(monkeypatch):
+def _count_table_calls(monkeypatch):
+    """Record every (degree, face) the table oracle is asked from now on."""
     calls = Counter()
     table_membership = ToricPresentation._table_membership
 
@@ -187,37 +189,105 @@ def test_classify_asks_table_oracle_once_per_point_and_face(monkeypatch):
         return table_membership(self, a, face_id)
 
     monkeypatch.setattr(ToricPresentation, "_table_membership", counted)
-    pres = ToricPresentation.build(CORPUS["dim3_hartshorne"][0])
-    points = set(_box_points(pres))
+    return calls
+
+
+def test_classify_asks_table_oracle_once_per_point_and_face(monkeypatch):
+    # the scored route checks every proper face on the verification box
+    calls = _count_table_calls(monkeypatch)
+    pres = ToricPresentation.build(CORPUS["dim2_scored_nonnormal"][0])
+    points = set(_box_points(pres)) | set(
+        _facet_box_points(pres, semigroups._normal_caps(pres)))
     faces = {f.face_id for f in pres.face_lattice.faces}
     assert calls and max(calls.values()) == 1
     assert all(a in points and f in faces for a, f in calls)
+    assert {f for _, f in calls} == faces - {pres.face_lattice.top_id}
 
 
-def _reject_on_facet_faces(monkeypatch, routes):
-    """Make the shortcuts of the given routes disagree with the table
-    oracle on every facet face, but not on the bottom face."""
-    original = semigroups._shortcut_member
-
-    def patched(pres, route, a, zero_facets):
-        got = original(pres, route, a, zero_facets)
-        return not got if route in routes and len(zero_facets) == 1 else got
-
-    monkeypatch.setattr(semigroups, "_shortcut_member", patched)
+def test_normal_caps_hartshorne(pres_hartshorne):
+    # each facet takes values 0, 0, 1, 1 on the four columns
+    assert semigroups._normal_caps(pres_hartshorne) == {
+        s.facet_id: 2 for s in pres_hartshorne.supports}
 
 
-def test_fast_path_falls_back_when_normal_shortcut_disagrees(monkeypatch):
-    _reject_on_facet_faces(monkeypatch, {"normal"})
+def test_normal_build_asks_table_oracle_only_on_normal_box(monkeypatch):
+    calls = _count_table_calls(monkeypatch)
     pres = ToricPresentation.build(CORPUS["dim3_hartshorne"][0])
-    assert (pres.normal, pres.scored, pres.serre_s2) == (True, True, True)
-    assert pres.fast_path == "scored"
+    points = _facet_box_points(pres, semigroups._normal_caps(pres))
+    assert pres.fast_path == "normal"
+    assert {f for _, f in calls} == {pres.face_lattice.bottom_id}
+    assert sorted(a for a, _ in calls) == sorted(points)
+    assert len(calls) == sum(calls.values()) == 19
 
 
-def test_fast_path_off_when_both_shortcuts_disagree(monkeypatch):
-    _reject_on_facet_faces(monkeypatch, {"normal", "scored"})
-    pres = ToricPresentation.build(CORPUS["dim3_hartshorne"][0])
-    assert (pres.normal, pres.scored, pres.serre_s2) == (True, True, True)
+def _patch_failing_facets(monkeypatch, change):
+    """Pass every failing-facet mask through change(pres, mask)."""
+    original = semigroups._failing_facets
+
+    def patched(pres, route, a):
+        return change(pres, original(pres, route, a))
+
+    monkeypatch.setattr(semigroups, "_failing_facets", patched)
+
+
+def test_scored_fast_path_off_when_masks_disagree_on_facet_faces(monkeypatch):
+    # a degree that fails one facet now fails all: the bottom face keeps its
+    # answer, but a box degree failing only the facet 3x - y >= 0 (value 1,
+    # a gap) is still in the localization at the other facet
+    _patch_failing_facets(
+        monkeypatch, lambda pres, mask: (1 << len(pres.supports)) - 1 if mask else 0)
+    pres = ToricPresentation.build(CORPUS["dim2_scored_nonnormal"][0])
+    assert (pres.normal, pres.scored, pres.serre_s2) == (False, True, True)
     assert pres.fast_path is None
+
+
+def test_scored_flag_refuted_when_masks_disagree_on_bottom_face(monkeypatch):
+    _patch_failing_facets(monkeypatch, lambda pres, mask: mask ^ 1)
+    pres = ToricPresentation.build(CORPUS["dim2_scored_nonnormal"][0])
+    assert (pres.normal, pres.scored, pres.serre_s2) == (False, False, True)
+    assert pres.flag_evidence["scored"] == "certified"
+    assert pres.fast_path is None
+
+
+# cone over the lattice 20-gon, the hull of x^2 + y^2 <= 64: not normal, and
+# its verification box holds a single point
+GON20 = [
+    [1] * 20,
+    [-8, -7, -6, -5, -3, 0, 3, 5, 6, 7, 8, 7, 6, 5, 3, 0, -3, -5, -6, -7],
+    [0, -3, -5, -6, -7, -8, -7, -6, -5, -3, 0, 3, 5, 6, 7, 8, 7, 6, 5, 3],
+]
+# cone over the octagon with vertices (+-3, 0), (0, +-3), (+-2, +-2)
+OCTAGON = [
+    [1, 1, 1, 1, 1, 1, 1, 1],
+    [3, 2, 0, -2, -3, -2, 0, 2],
+    [0, 2, 3, 2, 0, -2, -3, -2],
+]
+
+
+@cache
+def _gon20():
+    return ToricPresentation.build(GON20)
+
+
+def test_gon20_normality_refuted_scored_box_verified():
+    pres = _gon20()
+    assert pres.normal is False and pres.flag_evidence["normal"] == "certified"
+    assert pres.scored is True and pres.flag_evidence["scored"] == "box"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the box-verified scored fast path accepts the hole (1, 0, 0)")
+def test_gon20_in_semigroup_matches_search():
+    pres = _gon20()
+    assert in_semigroup(pres, (1, 0, 0)) == face_membership_search(
+        pres, (1, 0, 0), pres.face_lattice.bottom_id)
+
+
+def test_octagon_flags():
+    pres = ToricPresentation.build(OCTAGON)
+    assert (pres.normal, pres.scored, pres.serre_s2, pres.fast_path) == \
+        (False, False, False, None)
+    assert set(pres.flag_evidence.values()) == {"certified"}
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
