@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import cache
 
 from . import cohomology as co
 from . import grading as gr
@@ -47,7 +48,10 @@ class _Parser(argparse.ArgumentParser):
         raise ProblemFormatError(message)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in the parser between calls."""
     parser = _Parser(prog="toriclc", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

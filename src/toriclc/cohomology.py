@@ -9,7 +9,9 @@ signature classes.  Slice ranks are therefore memoized once per ideal,
 keyed by the set of localization faces whose support contains the degree,
 so the memo holds at most 2^#faces entries however many degrees are asked.
 That key comes from one localization_faces call per degree, which on the
-fast paths is one facet mask per degree.
+fast paths reads a memo keyed by the degree's clamped facet values
+(semigroups.line_keys).  Socle probes walk their box a scan line at a
+time and memoize support by the same keys.
 Assembly evaluates one representative per class and cross-checks
 additional samples, aborting on any disagreement instead of averaging.
 """
@@ -17,8 +19,7 @@ additional samples, aborting on any disagreement instead of averaging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations, product
+from itertools import combinations
 
 from . import intlinalg as la
 from .errors import ClassRankMismatch, GeneratorNotInSemigroup
@@ -29,7 +30,9 @@ from .semigroups import (  # noqa: F401
     ToricPresentation,
     in_face_localization,
     in_semigroup,
+    line_keys,
     localization_faces,
+    scan_lines,
     smallest_containing_face,
 )
 
@@ -308,22 +311,38 @@ def socle_probe(pres: ToricPresentation, ideal: MonomialIdeal,
     """Count socle degrees inside centered boxes of the given radii.
 
     A degree is a socle degree when it supports the module but every
-    translate by a generator column leaves the support; the support is
-    evaluated once per degree, whether reached as box point or translate."""
+    translate by a generator column leaves the support.  The box is walked
+    a scan line at a time, and the support is memoized by the key of the
+    degree (semigroups.line_keys): once per key on a fast path, once per
+    degree, whether reached as box point or translate, on the table path.
+    The keys of a line's translates are computed only for lines that hold
+    a supported degree, and the support of a translate only as needed."""
     radii = sorted(set(int(r) for r in radii))
     if not radii or radii[0] < 0:
         raise ValueError(f"socle radii must be nonnegative and nonempty, got {radii}")
     columns = [c for c in pres.columns if not la.is_zero_vector(c)]
-    supported = cache(lambda a: module_support(pres, ideal, cohomological_degree, a))
+    memo = {}
+
+    def supported(key, a, shift=None) -> bool:
+        hit = memo.get(key)
+        if hit is None:
+            degree = a if shift is None else la.vadd(a, shift)
+            hit = memo[key] = module_support(pres, ideal, cohomological_degree, degree)
+        return hit
+
     counts = []
     degrees = []
     found = []
-    biggest = radii[-1]
-    for point in product(range(-biggest, biggest + 1), repeat=pres.dim):
-        if supported(point) and not any(
-            supported(la.vadd(point, c)) for c in columns
-        ):
-            found.append(point)
+    for prefix, xs in scan_lines(pres.dim, radii[-1]):
+        moved = None
+        for i, (x, key) in enumerate(zip(xs, line_keys(pres, prefix, xs))):
+            point = prefix + (x,)
+            if not supported(key, point):
+                continue
+            if moved is None:
+                moved = [(c, line_keys(pres, prefix, xs, c)) for c in columns]
+            if not any(supported(keys[i], point, c) for c, keys in moved):
+                found.append(point)
     for r in radii:
         inside = tuple(p for p in found if max(abs(x) for x in p) <= r)
         counts.append((r, len(inside)))

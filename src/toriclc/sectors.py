@@ -16,18 +16,27 @@ residue is present; its blocks are indexed by upward-closed sets of faces
 Class enumeration scans growing centered boxes and stops after two
 consecutive growth steps discover no new signature; the theory guarantees
 finiteness but no effective bound, so the box used is always reported.
-Each growth step scans only the shell outside the previous box, so each
-degree's signature is computed once and signatures are not memoized.
+Each growth step scans only the shell outside the previous box, a scan
+line at a time.  On the normal and scored fast paths a degree enters only
+through its key, the facet values clamped where no fast-path answer can
+change (semigroups.key_clamps), so signatures are memoized per key on the
+presentation; on the table path each degree is signed once and nothing is
+memoized per degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from . import intlinalg as la
 from .errors import CycleDetected
-from .semigroups import ToricPresentation, in_face_localization, localization_faces
+from .semigroups import (
+    ToricPresentation,
+    in_face_localization,
+    line_keys,
+    localization_faces,
+    scan_lines,
+)
 
 
 @dataclass(frozen=True)
@@ -144,31 +153,45 @@ def enumerate_classes(pres: ToricPresentation, *, initial_radius=None,
                       samples_per_class: int = 3) -> ClassEnumeration:
     """Collect the distinct signatures on growing centered boxes.
 
-    Each growth step computes signatures only on the shell of points
-    outside the previous box: earlier steps already covered the inner
-    points, so they can add no class and no sample, and no signature is
-    memoized.  Stops once STABLE_STEPS consecutive growths add no new
-    signature.  Class ids are assigned in order of first discovery under a
-    lexicographic scan of each shell, so results are deterministic.
+    Each growth step signs only the shell of points outside the previous
+    box, a scan line at a time: earlier steps already covered the inner
+    points, so they can add no class and no sample.  On a fast path a
+    degree's signature is looked up by its key (semigroups.line_keys) in a
+    per-presentation memo, and degree_signature runs once per new key; on
+    the table path it runs once per degree and nothing is memoized.  Stops
+    once STABLE_STEPS consecutive growths add no new signature.  Class ids
+    are assigned in order of first discovery under a lexicographic scan of
+    each shell, so results are deterministic.
     """
     pres._require_pointed()
-    d = pres.dim
     radius = initial_radius if initial_radius else default_initial_radius(pres)
+    if pres.fast_path is None:
+        def sign(key, a):
+            return degree_signature(pres, a)
+    else:
+        memo = pres._signatures
+
+        def sign(key, a):
+            sig = memo.get(key)
+            if sig is None:
+                sig = memo[key] = degree_signature(pres, a)
+            return sig
     samples = {}  # signature -> sample degrees, representative first
     history = []
     inner = -1    # radius of the box already scanned
     stable = 0
     while True:
         new_found = 0
-        for point in product(range(-radius, radius + 1), repeat=d):
-            if max(map(abs, point)) <= inner:
-                continue
-            sig = degree_signature(pres, point)
-            if sig not in samples:
-                samples[sig] = []
-                new_found += 1
-            if len(samples[sig]) < samples_per_class:
-                samples[sig].append(point)
+        for prefix, xs in scan_lines(pres.dim, radius, inner):
+            for x, key in zip(xs, line_keys(pres, prefix, xs)):
+                point = prefix + (x,)
+                sig = sign(key, point)
+                pts = samples.get(sig)
+                if pts is None:
+                    pts = samples[sig] = []
+                    new_found += 1
+                if len(pts) < samples_per_class:
+                    pts.append(point)
         history.append((radius, new_found))
         stable = stable + 1 if new_found == 0 else 0
         if stable >= STABLE_STEPS:

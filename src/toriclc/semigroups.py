@@ -27,18 +27,26 @@ checks against the facet numerical semigroups.  The normal shortcut
 follows from normality; the scored one is validated against the table
 oracle on the verification box, through the failing-facet masks that
 answer the queries, and is disabled on any disagreement.  On a shortcut,
-asking many faces about one degree is one facet mask per degree:
-localization_faces evaluates every facet once, collects the facets that
-fail the route's test into a bitmask, and a face's localization contains
-the degree iff none of the face's facets is in that mask.  A single face
-(in_face_localization) tests only the facets containing it.
+asking many faces about one degree is one facet mask: localization_faces
+evaluates every facet once, collects the facets that fail the route's test
+into a bitmask, and a face's localization contains the degree iff none of
+the face's facets is in that mask.  A single face (in_face_localization)
+tests only the facets containing it.
+
+On a shortcut every answer depends on a degree only through its key, the
+facet values clamped to the interval outside which the route's test is
+constant (key_clamps), so the faces present are memoized per key.
+line_keys gives the keys of a whole scan line at once, which is how the
+class scan and socle probes walk their boxes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 from math import gcd
+from operator import mul
 
 from . import intlinalg as la
 from .cones import (
@@ -162,6 +170,9 @@ class ToricPresentation:
         self._tables = {}
         self._residue_reps = {}
         self._cech_tables = {}
+        self._key_clamps = None
+        self._present_by_key = {}
+        self._signatures = {}
         self._zero_facet_masks = ()
         self.normal = None
         self.scored = None
@@ -363,16 +374,22 @@ def localization_faces(pres: ToricPresentation, a, face_ids) -> frozenset:
     """The faces among face_ids whose localization (semigroup + group of the
     face) contains the degree.
 
-    On a fast path the failing-facet mask is computed once and each face is
-    present iff its zero-facet mask misses it; on the table path each face
+    On a fast path the faces present at the degree's key are memoized per
+    key, from one failing-facet mask per new key: a face is present iff its
+    zero-facet mask misses the failing facets.  On the table path each face
     is asked in the given order, so table rebuilds follow the queries."""
     pres._require_pointed()
     a = la.vec(a)
     if pres.fast_path is None:
         return frozenset(f for f in face_ids if in_face_localization(pres, a, f))
-    failing = _failing_facets(pres, pres.fast_path, a)
-    masks = pres._zero_facet_masks
-    return frozenset(f for f in face_ids if not masks[f] & failing)
+    key = degree_key(pres, a)
+    present = pres._present_by_key.get(key)
+    if present is None:
+        failing = _failing_facets(pres, pres.fast_path, a)
+        present = frozenset(
+            f for f, mask in enumerate(pres._zero_facet_masks) if not mask & failing)
+        pres._present_by_key[key] = present
+    return present.intersection(face_ids)
 
 
 def in_semigroup(pres: ToricPresentation, a) -> bool:
@@ -519,6 +536,69 @@ def escape_count(pres: ToricPresentation, shift) -> int:
     return pres.facet_semigroup(0).escape_count(pres.supports[0].value(shift))
 
 
+# -- per-degree keys on the fast paths -----------------------------------------
+
+
+def key_clamps(pres: ToricPresentation) -> tuple:
+    """Per facet s, the interval [lo_s, hi_s] that degree keys clamp F_s to:
+    [-1, conductor of the facet semigroup] on route scored and [-1, 0] on
+    route normal.
+
+    Every fast-path answer applies the route's test to F_s(a - r), where r
+    is zero or a torsion residue representative of a face inside facet s.
+    Such an r lies in the span of its face, so F_s(a - r) = F_s(a).  The
+    test fails below 0 and passes from the conductor on, so every answer is
+    constant outside the interval.  Computed on first use, not in build.
+    """
+    if pres._key_clamps is None:
+        pres._key_clamps = tuple(
+            (-1, 0 if pres.fast_path == "normal"
+             else pres.facet_semigroup(s.facet_id).conductor)
+            for s in pres.supports
+        )
+    return pres._key_clamps
+
+
+def line_keys(pres: ToricPresentation, prefix, xs, shift=None) -> list:
+    """Keys of the degrees prefix + (x,), translated by shift when given,
+    for every x in xs.
+
+    On a fast path the key is the tuple of facet values clamped to
+    key_clamps, so two degrees with one key get the same answer to every
+    fast-path question; each facet's value at the prefix is computed once
+    per line.  On the table path the key is the degree itself."""
+    if shift is not None:
+        # vadd and the dot products below stop at the end of the prefix
+        prefix = la.vadd(prefix, shift)
+        xs = [x + shift[-1] for x in xs]
+    if pres.fast_path is None:
+        return [prefix + (x,) for x in xs]
+    clamped = []
+    for s, (lo, hi) in zip(pres.supports, key_clamps(pres)):
+        base = sum(map(mul, s.coefficients, prefix))
+        slope = s.coefficients[-1]
+        values = [base + slope * x for x in xs]
+        clamped.append([lo if v < lo else hi if v > hi else v for v in values])
+    return list(zip(*clamped))
+
+
+def degree_key(pres: ToricPresentation, a) -> tuple:
+    """The key of one degree, as line_keys gives it."""
+    a = la.vec(a)
+    return line_keys(pres, a[:-1], a[-1:])[0]
+
+
+def scan_lines(dim: int, radius: int, inner: int = -1):
+    """The points of the centered box of the radius that lie outside the
+    box of radius inner, as scan lines (prefix, xs) over the last
+    coordinate, in lexicographic order.  A prefix inside the inner box
+    keeps only its x with |x| > inner."""
+    full = range(-radius, radius + 1)
+    outer = [x for x in full if abs(x) > inner]
+    for prefix in product(full, repeat=dim - 1):
+        yield prefix, outer if max(map(abs, prefix), default=0) <= inner else full
+
+
 # -- classification -----------------------------------------------------------
 
 
@@ -596,8 +676,13 @@ def _classify(pres: ToricPresentation) -> None:
     # Q is normal iff it holds every parallelepiped point of every simplicial
     # cone spanned by columns (Bruns-Gubeladze, Polytopes, Rings, and
     # K-Theory, 2009).  Every point of the normal box lies in the cone, so a
-    # point outside Q is a hole and the verdict is exact either way.
-    pres.normal = all(oracle(a, bottom) for a in _facet_box_points(pres, _normal_caps(pres)))
+    # point outside Q is a hole and the verdict is exact either way.  The
+    # bottom-face table is built once at the box's caps rather than grown to
+    # them by doubling.
+    normal_caps = _normal_caps(pres)
+    pres._table(bottom).rebuild(
+        [normal_caps[s] for s in pres._relevant_facets(bottom)], pres.table_state_limit)
+    pres.normal = all(oracle(a, bottom) for a in _facet_box_points(pres, normal_caps))
     if pres.normal:
         # normal => scored => S2, and each localization is cut out by the
         # facets containing its face, so no per-face check is needed

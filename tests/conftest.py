@@ -1,10 +1,19 @@
-"""Shared fixtures: the regression corpus and cached presentations."""
+"""Shared fixtures: the regression corpus, cached presentations and a
+per-degree reference for Cech ranks."""
 
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from toriclc import ToricPresentation, enumerate_classes
+from toriclc import (
+    ToricPresentation,
+    enumerate_classes,
+    in_face_localization,
+    in_semigroup,
+    smallest_containing_face,
+)
+from toriclc import intlinalg as la
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO / "corpus"
@@ -63,3 +72,38 @@ def pres_hartshorne():
 @pytest.fixture
 def pres_cusp():
     return presentation("dim1_cusp")
+
+
+def reference_cech_ranks(pres, ideal, a):
+    """Cech ranks with one membership test per generator subset and the
+    complex built from scratch."""
+    degrees = ideal.generator_degrees
+    t = len(degrees)
+    terms = []
+    for size in range(t + 1):
+        present = []
+        for subset in combinations(range(t), size):
+            if not subset:
+                member = in_semigroup(pres, a)
+            else:
+                total = tuple(sum(c) for c in zip(*(degrees[j] for j in subset)))
+                face = smallest_containing_face(pres, total)
+                member = in_face_localization(pres, a, face)
+            if member:
+                present.append(subset)
+        terms.append(present)
+    rank = []
+    for lo_terms, hi_terms in zip(terms, terms[1:]):
+        rows = []
+        for hi in hi_terms:
+            row = []
+            for lo in lo_terms:
+                extra = set(hi) - set(lo)
+                row.append((-1) ** hi.index(extra.pop())
+                           if set(lo) < set(hi) else 0)
+            rows.append(row)
+        rank.append(la.rank(la.mat(rows)))
+    rank.append(0)
+    return tuple(
+        len(terms[i]) - rank[i] - (rank[i - 1] if i else 0) for i in range(t + 1)
+    )

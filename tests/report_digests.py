@@ -1,0 +1,75 @@
+"""sha256 digests of the machine reports of the corpus jobs.
+
+The jobs are the 11 corpus problems under `analyze`, `sectors`, `lc` and
+`grd`, and under `lc --socle 2,4` and `lc --socle 5,10` (66 jobs).  Each
+runs in process with `--format machine` and the problem path relative to
+the repository root, which the report echoes.  tests/test_report_digests.py
+checks the digests recorded in tests/data/corpus_report_digests.json;
+after a deliberate change to the reports, rewrite that file from the root
+of a checkout with
+
+    PYTHONPATH=src python tests/report_digests.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+DIGESTS = REPO / "tests" / "data" / "corpus_report_digests.json"
+
+PROBLEMS = (
+    "dim1_2_5", "dim1_3_4_5", "dim1_3_5_7", "dim1_4_6_9", "dim1_cusp",
+    "dim1_weyl", "dim2_nonscored", "dim2_normal", "dim2_polynomial",
+    "dim2_scored_nonnormal", "dim3_hartshorne",
+)
+COMMANDS = (
+    ("analyze",), ("sectors",), ("lc",), ("grd",),
+    ("lc", "--socle", "2,4"), ("lc", "--socle", "5,10"),
+)
+
+
+def jobs() -> list:
+    """Every job as its argument list, the report format left out."""
+    return [[command[0], f"corpus/{name}.toric", *command[1:]]
+            for name in PROBLEMS for command in COMMANDS]
+
+
+def digest(argv) -> tuple:
+    """(exit code, sha256 of the machine report) of one in-process run
+    from the repository root."""
+    from toriclc.cli import run
+
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(REPO)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run([*argv, "--format", "machine"])
+    finally:
+        os.chdir(cwd)
+    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def main() -> int:
+    table = {}
+    for argv in jobs():
+        code, sha = digest(argv)
+        if code != 0:
+            print(f"error: {' '.join(argv)} exited {code}", file=sys.stderr)
+            return 1
+        table[" ".join(argv)] = sha
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(table)} digests to {DIGESTS.relative_to(REPO)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

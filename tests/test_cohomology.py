@@ -1,11 +1,11 @@
 """Complex slices, ranks, module assembly, socle probes."""
 
 from collections import Counter
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
-from conftest import CORPUS, enumeration, presentation
+from conftest import CORPUS, enumeration, presentation, reference_cech_ranks
 
 from toriclc import (
     GeneratorNotInSemigroup,
@@ -14,18 +14,14 @@ from toriclc import (
     assemble_module,
     cech_ranks,
     class_poset,
-    in_face_localization,
-    in_semigroup,
     ishida_ranks,
     local_cohomology_max,
     localization_faces,
     module_support,
     sector_faces,
-    smallest_containing_face,
     socle_probe,
 )
 from toriclc import cohomology, semigroups
-from toriclc import intlinalg as la
 from toriclc.cohomology import cech_slice, ishida_slice
 
 
@@ -276,51 +272,28 @@ def test_socle_probe_rejects_bad_radii(pres_hartshorne, radii):
         socle_probe(pres_hartshorne, ideal, 2, radii)
 
 
-def test_socle_probe_evaluates_support_once_per_degree(pres_hartshorne, monkeypatch):
-    ideal = MonomialIdeal.from_degrees(pres_hartshorne, CORPUS["dim3_hartshorne"][1])
-    asked = Counter()
+def test_socle_probe_evaluates_support_once_per_degree(monkeypatch):
+    # normal fast path: once per key, and every key of the box is asked;
+    # table path: once per degree, and every degree of the box is asked
+    asked = []
     monkeypatch.setattr(
         cohomology, "module_support",
-        lambda p, i, k, a: asked.update([tuple(a)]) or module_support(p, i, k, a))
-    probe = socle_probe(pres_hartshorne, ideal, 2, [5])
-    assert probe.counts == ((5, 6),)
-    assert max(asked.values()) == 1
-    assert len(asked) >= 11 ** 3
-
-
-def _reference_cech_ranks(pres, ideal, a):
-    """Cech ranks with one membership test per generator subset and the
-    complex built from scratch."""
-    degrees = ideal.generator_degrees
-    t = len(degrees)
-    terms = []
-    for size in range(t + 1):
-        present = []
-        for subset in combinations(range(t), size):
-            if not subset:
-                member = in_semigroup(pres, a)
-            else:
-                total = tuple(sum(c) for c in zip(*(degrees[j] for j in subset)))
-                face = smallest_containing_face(pres, total)
-                member = in_face_localization(pres, a, face)
-            if member:
-                present.append(subset)
-        terms.append(present)
-    rank = []
-    for lo_terms, hi_terms in zip(terms, terms[1:]):
-        rows = []
-        for hi in hi_terms:
-            row = []
-            for lo in lo_terms:
-                extra = set(hi) - set(lo)
-                row.append((-1) ** hi.index(extra.pop())
-                           if set(lo) < set(hi) else 0)
-            rows.append(row)
-        rank.append(la.rank(la.mat(rows)))
-    rank.append(0)
-    return tuple(
-        len(terms[i]) - rank[i] - (rank[i - 1] if i else 0) for i in range(t + 1)
-    )
+        lambda p, i, k, a: asked.append(tuple(a)) or module_support(p, i, k, a))
+    for name, count in (("dim3_hartshorne", 6), ("dim2_nonscored", 3)):
+        pres = ToricPresentation.build(CORPUS[name][0])
+        ideal = (MonomialIdeal.maximal_ideal(pres) if CORPUS[name][1] == "maximal"
+                 else MonomialIdeal.from_degrees(pres, CORPUS[name][1]))
+        asked.clear()
+        probe = socle_probe(pres, ideal, 2, [5])
+        assert probe.counts == ((5, count),)
+        keys = Counter(semigroups.degree_key(pres, a) for a in asked)
+        assert max(keys.values()) == 1
+        box = product(range(-5, 6), repeat=pres.dim)
+        assert {semigroups.degree_key(pres, a) for a in box} <= set(keys)
+        if pres.fast_path is None:
+            assert len(asked) >= 11 ** pres.dim
+        else:
+            assert len(asked) < 2 ** len(pres.supports)
 
 
 @pytest.mark.parametrize("name,ideal_kind", [
@@ -333,7 +306,7 @@ def test_cech_ranks_match_per_subset_reference(name, ideal_kind):
     ideal = (MonomialIdeal.maximal_ideal(pres) if ideal_kind == "maximal"
              else MonomialIdeal.from_degrees(pres, CORPUS[name][1]))
     for a in product(range(-3, 4), repeat=pres.dim):
-        assert cech_ranks(pres, ideal, a) == _reference_cech_ranks(pres, ideal, a), a
+        assert cech_ranks(pres, ideal, a) == reference_cech_ranks(pres, ideal, a), a
 
 
 def test_cech_rank_memo_bounded_by_faces(pres_hartshorne):
@@ -367,23 +340,27 @@ def test_cech_ranks_hit_queries_faces_and_builds_nothing(monkeypatch):
 
 
 def test_socle_probe_computes_failing_facets_once_per_degree(monkeypatch):
+    # the faces present at a degree are memoized by its key, so the
+    # failing facets are computed once per key however many degrees share it
     pres = ToricPresentation.build(CORPUS["dim3_hartshorne"][0])
     assert pres.fast_path == "normal"
     ideal = MonomialIdeal.from_degrees(pres, CORPUS["dim3_hartshorne"][1])
     cech_ranks(pres, ideal, (0, 0, 0))  # builds the per-ideal table first
-    asked, slices = Counter(), []
+    asked, slices = [], []
     failing_facets = semigroups._failing_facets
     monkeypatch.setattr(
         semigroups, "_failing_facets",
-        lambda p, route, a: asked.update([tuple(a)]) or failing_facets(p, route, a))
+        lambda p, route, a: asked.append(tuple(a)) or failing_facets(p, route, a))
     monkeypatch.setattr(
         cohomology, "cech_slice",
         lambda p, i, a: slices.append(tuple(a)) or cech_slice(p, i, a))
     probe = socle_probe(pres, ideal, 2, [5])
     assert probe.counts == ((5, 6),)
-    # once per degree, plus once more where a memo miss builds the slice
-    assert asked == Counter(asked.keys()) + Counter(slices)
+    keys = [semigroups.degree_key(pres, a) for a in asked]
+    assert len(set(keys)) == len(keys)
+    # the key of (0, 0, 0) was memoized before the probe
+    assert semigroups.degree_key(pres, (0, 0, 0)) not in keys
+    assert len(keys) == len(pres._present_by_key) - 1
     # one slice per new memo entry; the entry for (0, 0, 0) was already there
     table = pres._cech_tables[ideal.generator_degrees]
     assert len(slices) == len(table.ranks) - 1
-    assert len(asked) >= 11 ** 3

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import CORPUS_DIR
 
-from toriclc import cohomology, grading, sectors, semigroups
+from toriclc import cli, cohomology, grading, sectors, semigroups
 from toriclc.cli import run
 from toriclc.errors import (
     ClassRankMismatch,
@@ -298,3 +298,35 @@ def test_cli_exit_code_contract(tmp_path, capsys, monkeypatch, argv, code):
               if line.startswith("error:")]
     assert len(errors) == 1
     assert (code == 5) == errors[0].startswith("error: internal invariant failed: ")
+
+
+def test_cli_parser_reused_across_runs(capsys):
+    # one parser serves runs with different subcommands and options, usage
+    # errors included, and each run reports as it does on a fresh parser
+    corpus = str(CORPUS_DIR)
+    runs = [
+        ["analyze", f"{corpus}/dim2_normal.toric", "--format", "machine"],
+        ["lc", f"{corpus}/dim3_hartshorne.toric", "--socle", "2,4", "--format", "machine"],
+        ["sectors", f"{corpus}/dim1_cusp.toric", "--box", "3", "--samples", "2"],
+        ["lc", f"{corpus}/dim2_normal.toric", "--ideal=1,0", "--maximal"],
+        ["nosuchcommand"],
+        ["lc", f"{corpus}/dim2_polynomial.toric", "--maximal", "--format", "machine"],
+        ["grd", f"{corpus}/dim1_cusp.toric"],
+        ["analyze", f"{corpus}/dim2_normal.toric", "--format", "machine"],
+    ]
+
+    def outcome(argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        # the last stderr line reports the wall time
+        err = [line for line in captured.err.splitlines() if "completed in" not in line]
+        return code, captured.out, err
+
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli._build_parser.cache_clear()
+    assert [outcome(argv) for argv in runs] == fresh
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 4, 4, 0, 0, 0]

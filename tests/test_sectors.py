@@ -8,6 +8,7 @@ import pytest
 from conftest import CORPUS, enumeration, presentation
 
 from toriclc import (
+    ToricPresentation,
     class_poset,
     degree_signature,
     face_residues,
@@ -17,6 +18,7 @@ from toriclc import (
 )
 from toriclc import sectors
 from toriclc.sectors import face_residue_reps
+from toriclc.semigroups import degree_key
 
 
 def _facet_face(pres, coefficients):
@@ -64,6 +66,15 @@ def test_residues_nontrivial_torsion():
     assert face_residues(pres, (0, 0), x_ray) == frozenset({0})
     assert face_residues(pres, (1, 0), x_ray) == frozenset({1})
     assert face_residues(pres, (1, 1), x_ray) == frozenset({0, 1})
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_residue_reps_vanish_on_the_facets_of_their_face(name):
+    # so a residue shifts no facet value that a fast-path key clamps
+    pres = presentation(name)
+    for face in pres.face_lattice.faces:
+        for rep in face_residue_reps(pres, face.face_id):
+            assert all(pres.supports[s].value(rep) == 0 for s in face.zero_facets)
 
 
 def test_two_classes_dim1():
@@ -249,15 +260,25 @@ def test_class_samples_distinct_and_led_by_representative(name):
 
 @pytest.mark.parametrize("name", ["dim1_weyl", "dim2_nonscored", "dim3_hartshorne"])
 def test_class_scan_computes_each_signature_of_final_box_once(name, monkeypatch):
-    pres = presentation(name)
+    # fast paths: once per key of the final box, memoized on the presentation;
+    # table path: once per degree of the final box, with no memo
+    pres = ToricPresentation.build(CORPUS[name][0])
     signed = Counter()
     monkeypatch.setattr(
         sectors, "degree_signature",
         lambda p, a: signed.update([a]) or degree_signature(p, a))
     enum = sectors.enumerate_classes(pres)
     r = enum.radius
-    assert sum(signed.values()) == (2 * r + 1) ** pres.dim
-    assert set(signed) == set(product(range(-r, r + 1), repeat=pres.dim))
+    box = list(product(range(-r, r + 1), repeat=pres.dim))
+    keys = Counter(degree_key(pres, a) for a in signed.elements())
+    assert max(keys.values()) == 1
+    assert set(keys) == {degree_key(pres, a) for a in box}
+    if pres.fast_path is None:
+        assert sum(signed.values()) == len(box)
+        assert not pres._signatures
+    else:
+        assert len(signed) < len(box)
+        assert set(pres._signatures) == set(keys)
     assert enum.classes == enumeration(name).classes
 
 

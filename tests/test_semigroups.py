@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, presentation
+from conftest import CORPUS, enumeration, presentation, reference_cech_ranks
 
 from toriclc import (
     DimensionUnsupported,
     GeneratorNotInSemigroup,
+    MonomialIdeal,
     NotPointed,
     ToricPresentation,
     degree_signature,
+    enumerate_classes,
     escape_count,
     face_membership_search,
     face_residues,
@@ -23,13 +25,15 @@ from toriclc import (
     in_monomial_localization,
     in_semigroup,
     localization_faces,
+    module_support,
     monomial_localization_witness,
     numerical_semigroup,
     smallest_containing_face,
 )
+from toriclc import intlinalg as la
 from toriclc import semigroups
 from toriclc.errors import FullLatticeRequired
-from toriclc.semigroups import _facet_box_points
+from toriclc.semigroups import _facet_box_points, key_clamps, line_keys
 
 
 def test_numerical_semigroup_23():
@@ -133,7 +137,43 @@ def test_fast_paths_and_dfs_agree_on_box(name):
                 face_membership_search(pres, a, face.face_id)
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+# the scored pentagon cone of the benchmark's class scans: a scored fast
+# path whose facet semigroups have nonzero conductors
+PENTAGON_SCORED = [
+    [1, 1, 1, 1, 1],
+    [0, 1, 2, 1, 0],
+    [0, 0, 1, 2, 1],
+]
+
+
+@cache
+def _keyed(name):
+    """Presentation, ideal and class enumeration of a corpus problem or of
+    the scored pentagon; enumerating fills the presentation's signature memo."""
+    if name == "pentagon_scored":
+        pres = ToricPresentation.build(PENTAGON_SCORED)
+        return pres, MonomialIdeal.maximal_ideal(pres), enumerate_classes(pres)
+    pres, spec = presentation(name), CORPUS[name][1]
+    ideal = (MonomialIdeal.maximal_ideal(pres) if spec == "maximal"
+             else MonomialIdeal.from_degrees(pres, spec))
+    return pres, ideal, enumeration(name)
+
+
+def _reference_key(pres, a):
+    """A degree's key from its own facet values, one degree at a time."""
+    if pres.fast_path is None:
+        return a
+    return tuple(min(max(v, lo), hi)
+                 for v, (lo, hi) in zip(pres.facet_values(a), key_clamps(pres)))
+
+
+def test_pentagon_scored_has_conductors():
+    pres, _, _ = _keyed("pentagon_scored")
+    assert pres.fast_path == "scored"
+    assert pres.max_facet_conductor() > 0
+
+
+@pytest.mark.parametrize("name", [*sorted(CORPUS), "pentagon_scored"])
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_localization_faces_match_search_and_residues(name, data):
@@ -141,13 +181,36 @@ def test_localization_faces_match_search_and_residues(name, data):
     # the depth-first oracle face by face, and the signature built on them
     # equals the per-face residue sets; the default search bound (30) is
     # too small for some Hartshorne degrees of this box, 100 covers all of it
-    pres = presentation(name)
+    pres, ideal, enum = _keyed(name)
     a = data.draw(st.tuples(*[st.integers(-8, 8)] * pres.dim), label="degree")
     faces = [f.face_id for f in pres.face_lattice.faces]
     assert localization_faces(pres, a, faces) == frozenset(
         f for f in faces if face_membership_search(pres, a, f, search_bound=100))
     assert degree_signature(pres, a).residues == tuple(
         face_residues(pres, a, f) for f in faces)
+    # the line kernel on the scan line through a, translated by a column or
+    # not, gives every degree its own key; degrees sharing a key share every
+    # per-degree answer, and the answers memoized per key are those answers
+    shift = data.draw(st.sampled_from([None, *pres.columns]), label="shift")
+    xs = range(a[-1] - 3, a[-1] + 4)
+    line = [a[:-1] + (x,) for x in xs]
+    if shift is not None:
+        line = [la.vadd(b, shift) for b in line]
+    keys = line_keys(pres, a[:-1], xs, shift)
+    assert keys == [_reference_key(pres, b) for b in line]
+    per_key = {}
+    for b, key in zip(line, keys):
+        present = frozenset(f for f in faces if in_face_localization(pres, b, f))
+        residues = tuple(face_residues(pres, b, f) for f in faces)
+        ranks = reference_cech_ranks(pres, ideal, b)
+        assert per_key.setdefault(key, (present, residues, ranks)) == (present, residues, ranks)
+        assert localization_faces(pres, b, faces) == present
+        assert [module_support(pres, ideal, k, b) for k in range(len(ranks))] == \
+            [r > 0 for r in ranks]
+        if pres.fast_path is None:
+            assert not pres._signatures
+        elif max(map(abs, b)) <= enum.radius:
+            assert pres._signatures[key].residues == residues
 
 
 def test_dfs_agrees_off_box(pres_2dim):
