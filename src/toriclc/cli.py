@@ -265,8 +265,9 @@ def run(argv=None) -> int:
             ideal = _resolve_ideal(args, problem, pres)
             enumeration, poset = _enumerate(pres, options)
             module = co.assemble_module(pres, ideal, enumeration, poset)
-            socles = [co.socle_probe(pres, ideal, i, radii)
-                      for i, _ in module.lengths_by_degree] if radii else []
+            socles = co.socle_probe(
+                pres, ideal, [i for i, _ in module.lengths_by_degree], radii
+            ) if radii else ()
             report = rp.lc_report(pres, enumeration, poset, module, socles, echo)
         elif args.command == "grd":
             report = _run_grd(pres, echo)

@@ -10,8 +10,9 @@ keyed by the set of localization faces whose support contains the degree,
 so the memo holds at most 2^#faces entries however many degrees are asked.
 That key comes from one localization_faces call per degree, which on the
 fast paths reads a memo keyed by the degree's clamped facet values
-(semigroups.line_keys).  Socle probes walk their box a scan line at a
-time and memoize support by the same keys.
+(semigroups.line_keys).  A socle probe walks its box once for all the
+cohomological degrees it is given, a scan line at a time, and memoizes
+Cech ranks by the same keys.
 Assembly evaluates one representative per class and cross-checks
 additional samples, aborting on any disagreement instead of averaging.
 """
@@ -307,44 +308,58 @@ def module_support(pres: ToricPresentation, ideal: MonomialIdeal,
 
 
 def socle_probe(pres: ToricPresentation, ideal: MonomialIdeal,
-                cohomological_degree: int, radii) -> SocleProbe:
-    """Count socle degrees inside centered boxes of the given radii.
+                cohomological_degrees, radii) -> tuple:
+    """Count socle degrees inside centered boxes of the given radii, one
+    SocleProbe per cohomological degree, in the order given.
 
     A degree is a socle degree when it supports the module but every
-    translate by a generator column leaves the support.  The box is walked
-    a scan line at a time, and the support is memoized by the key of the
-    degree (semigroups.line_keys): once per key on a fast path, once per
-    degree, whether reached as box point or translate, on the table path.
-    The keys of a line's translates are computed only for lines that hold
-    a supported degree, and the support of a translate only as needed."""
+    translate by a generator column leaves the support.  One walk of the
+    box answers every cohomological degree: it goes a scan line at a time,
+    and the Cech ranks are memoized by the key of the degree
+    (semigroups.line_keys): once per key on a fast path, once per degree,
+    whether reached as box point or translate, on the table path.  The
+    keys of a line's translates are computed only for lines that hold a
+    supported degree, and the ranks of a translate only as needed."""
+    degrees = [int(i) for i in cohomological_degrees]
+    if any(i < 0 for i in degrees):
+        raise ValueError(f"cohomological degrees must be nonnegative, got {degrees}")
     radii = sorted(set(int(r) for r in radii))
     if not radii or radii[0] < 0:
         raise ValueError(f"socle radii must be nonnegative and nonempty, got {radii}")
+    # cohomological degrees above the number of generators have empty support
+    live = [k for k, i in enumerate(degrees) if i <= len(ideal.generator_degrees)]
     columns = [c for c in pres.columns if not la.is_zero_vector(c)]
     memo = {}
 
-    def supported(key, a, shift=None) -> bool:
+    def ranks(key, a, shift=None) -> tuple:
         hit = memo.get(key)
         if hit is None:
             degree = a if shift is None else la.vadd(a, shift)
-            hit = memo[key] = module_support(pres, ideal, cohomological_degree, degree)
+            hit = memo[key] = cech_ranks(pres, ideal, degree)
         return hit
 
-    counts = []
-    degrees = []
-    found = []
-    for prefix, xs in scan_lines(pres.dim, radii[-1]):
+    found = [[] for _ in degrees]
+    lines = scan_lines(pres.dim, radii[-1]) if live else ()
+    for prefix, xs in lines:
         moved = None
-        for i, (x, key) in enumerate(zip(xs, line_keys(pres, prefix, xs))):
+        for j, (x, key) in enumerate(zip(xs, line_keys(pres, prefix, xs))):
             point = prefix + (x,)
-            if not supported(key, point):
-                continue
-            if moved is None:
-                moved = [(c, line_keys(pres, prefix, xs, c)) for c in columns]
-            if not any(supported(keys[i], point, c) for c, keys in moved):
-                found.append(point)
-    for r in radii:
-        inside = tuple(p for p in found if max(abs(x) for x in p) <= r)
-        counts.append((r, len(inside)))
-        degrees.append((r, inside))
-    return SocleProbe(cohomological_degree, tuple(counts), tuple(degrees))
+            here = ranks(key, point)
+            for k in live:
+                i = degrees[k]
+                if not here[i]:
+                    continue
+                if moved is None:
+                    moved = [(c, line_keys(pres, prefix, xs, c)) for c in columns]
+                if not any(ranks(keys[j], point, c)[i] for c, keys in moved):
+                    found[k].append(point)
+    probes = []
+    for i, points in zip(degrees, found):
+        counts = []
+        by_radius = []
+        for r in radii:
+            inside = tuple(p for p in points if max(abs(x) for x in p) <= r)
+            counts.append((r, len(inside)))
+            by_radius.append((r, inside))
+        probes.append(SocleProbe(i, tuple(counts), tuple(by_radius)))
+    return tuple(probes)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 Vector = tuple
 Matrix = tuple
@@ -368,18 +369,19 @@ class QuotientGroup:
     project() maps a vector to a tuple whose entries are reduced modulo the
     torsion invariants (trivial invariants collapse to 0, free coordinates
     stay unreduced); two vectors project equally iff they differ by a
-    lattice element.
+    lattice element.  The columns of the coordinate matrix are stored once,
+    by quotient(), so a projection is one dot product per coordinate.
     """
 
     ambient_rank: int
     lattice: Sublattice
     free_rank: int
     torsion_invariants: tuple
-    _coord_matrix: Matrix
+    _coord_columns: Matrix
     _moduli: tuple
 
     def project(self, v: Vector) -> Vector:
-        y = vec_mat(v, self._coord_matrix)
+        y = (sum(map(mul, v, col)) for col in self._coord_columns)
         return tuple(
             0 if m == 1 else (yi % m if m else yi)
             for yi, m in zip(y, self._moduli)
@@ -400,7 +402,8 @@ def quotient(ambient_rank: int, lattice: Sublattice) -> QuotientGroup:
     d_mat, _, v = smith_normal_form(lattice.basis)
     moduli = tuple(d_mat[i][i] for i in range(r)) + (0,) * (ambient_rank - r)
     torsion = tuple(m for m in moduli if m >= 2)
-    return QuotientGroup(ambient_rank, lattice, ambient_rank - r, torsion, v, moduli)
+    return QuotientGroup(
+        ambient_rank, lattice, ambient_rank - r, torsion, transpose(v), moduli)
 
 
 def torsion_coset_reps(q: QuotientGroup) -> tuple:

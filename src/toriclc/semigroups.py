@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import gcd
-from operator import mul
+from operator import add, le, mul
 
 from . import intlinalg as la
 from .cones import (
@@ -82,9 +82,15 @@ class NumericalSemigroup:
 
     def escape_count(self, shift: int) -> int:
         """Number of members x with x + shift outside the semigroup; finite
-        because everything from the conductor on is a member."""
-        upper = max(0, self.conductor - shift)
-        return sum(1 for x in range(upper) if x in self and (x + shift) not in self)
+        because everything from the conductor on is a member.
+
+        x + shift leaves the semigroup either below 0, which takes the
+        members under max(0, -shift), or at a gap g, which takes the member
+        g - shift when there is one; the two cases are disjoint, so the
+        count is read off the gap set in O(#gaps) at any shift."""
+        below = max(0, -shift)
+        return (below - sum(1 for g in self.gaps if g < below)
+                + sum(1 for g in self.gaps if g - shift in self))
 
 
 def numerical_semigroup(values) -> NumericalSemigroup:
@@ -174,6 +180,7 @@ class ToricPresentation:
         self._present_by_key = {}
         self._signatures = {}
         self._zero_facet_masks = ()
+        self._zero_facet_ids = ()
         self.normal = None
         self.scored = None
         self.serre_s2 = None
@@ -186,6 +193,10 @@ class ToricPresentation:
             self._zero_facet_masks = tuple(
                 sum(1 << s for s in face.zero_facets)
                 for face in self._face_lattice.faces
+            )
+            # the facets containing each face, sorted: the table coordinates
+            self._zero_facet_ids = tuple(
+                tuple(sorted(face.zero_facets)) for face in self._face_lattice.faces
             )
             _classify(self)
         return self
@@ -234,13 +245,10 @@ class ToricPresentation:
 
     # -- membership ---------------------------------------------------------
 
-    def _relevant_facets(self, face_id: int) -> tuple:
-        return tuple(sorted(self.face_lattice.face(face_id).zero_facets))
-
     def _table(self, face_id: int):
         tbl = self._tables.get(face_id)
         if tbl is None:
-            relevant = self._relevant_facets(face_id)
+            relevant = self._zero_facet_ids[face_id]
             quot = self.face_quotient(face_id)
             face = self.face_lattice.face(face_id)
             moves = []
@@ -254,7 +262,7 @@ class ToricPresentation:
         return tbl
 
     def _table_membership(self, a, face_id: int) -> bool:
-        relevant = self._relevant_facets(face_id)
+        relevant = self._zero_facet_ids[face_id]
         vals = tuple(self.supports[s].value(a) for s in relevant)
         if any(v < 0 for v in vals):
             return False
@@ -295,6 +303,11 @@ class _BfsTable:
     Complete for every query whose facet values fit under the caps: any
     representation of such a degree has all partial sums inside the capped
     region, since moves never decrease a facet value.
+
+    Projection to the quotient is a group homomorphism, so each move is
+    projected once per rebuild and a state steps by adding the projected
+    move coordinatewise, reducing only the torsion coordinates: the states
+    are those of projecting a lift plus the move, with no lift carried.
     """
 
     __slots__ = ("quotient", "relevant", "moves", "caps", "members")
@@ -308,26 +321,28 @@ class _BfsTable:
 
     def rebuild(self, caps, state_limit: int) -> None:
         caps = tuple(caps)
-        d = self.quotient.ambient_rank
-        origin = self.quotient.project(la.zero_vector(d))
-        # track a lift alongside each state so moves stay exact
+        quot = self.quotient
+        origin = quot.project(la.zero_vector(quot.ambient_rank))
+        steps = [(quot.project(col), mv_vals) for col, mv_vals in self.moves]
+        torsion = [(i, m) for i, m in enumerate(quot._moduli) if m >= 2]
         members = {origin: (0,) * len(self.relevant)}
-        lifts = {origin: la.zero_vector(d)}
         frontier = [origin]
         while frontier:
             nxt = []
             for state in frontier:
                 vals = members[state]
-                lift = lifts[state]
-                for col, mv_vals in self.moves:
-                    new_vals = tuple(a + b for a, b in zip(vals, mv_vals))
-                    if any(v > c for v, c in zip(new_vals, caps)):
+                for step, mv_vals in steps:
+                    new_vals = tuple(map(add, vals, mv_vals))
+                    if not all(map(le, new_vals, caps)):
                         continue
-                    new_lift = la.vadd(lift, col)
-                    new_state = self.quotient.project(new_lift)
+                    new_state = tuple(map(add, state, step))
+                    if torsion:
+                        reduced = list(new_state)
+                        for i, m in torsion:
+                            reduced[i] %= m
+                        new_state = tuple(reduced)
                     if new_state not in members:
                         members[new_state] = new_vals
-                        lifts[new_state] = new_lift
                         nxt.append(new_state)
             if len(members) > state_limit:
                 # leave any previously built table intact
@@ -429,7 +444,7 @@ def face_membership_search(pres: ToricPresentation, a, face_id: int,
         return True
     bound = search_bound if search_bound is not None else pres.search_bound
     face = lattice.face(face_id)
-    relevant = pres._relevant_facets(face_id)
+    relevant = pres._zero_facet_ids[face_id]
     coeffs = [pres.supports[s].coefficients for s in relevant]
     vals_a = [la.dot(c, a) for c in coeffs]
     if any(v < 0 for v in vals_a):
@@ -681,7 +696,7 @@ def _classify(pres: ToricPresentation) -> None:
     # them by doubling.
     normal_caps = _normal_caps(pres)
     pres._table(bottom).rebuild(
-        [normal_caps[s] for s in pres._relevant_facets(bottom)], pres.table_state_limit)
+        [normal_caps[s] for s in pres._zero_facet_ids[bottom]], pres.table_state_limit)
     pres.normal = all(oracle(a, bottom) for a in _facet_box_points(pres, normal_caps))
     if pres.normal:
         # normal => scored => S2, and each localization is cut out by the

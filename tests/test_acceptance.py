@@ -111,7 +111,7 @@ def test_criterion_2_hartshorne():
         and enum.by_id(series[0][0]).sector == frozenset({sigma12, lattice.top_id})
     )
 
-    probe = socle_probe(pres, ideal, 2, [5, 10, 20])
+    (probe,) = socle_probe(pres, ideal, [2], [5, 10, 20])
     counts = [c for _, c in probe.counts]
 
     # independent oracle: brute-force support scan from the region data

@@ -192,14 +192,14 @@ def test_full_group_length_equals_class_count():
 def test_socle_polynomial_ring():
     pres = presentation("dim2_polynomial")
     ideal = MonomialIdeal.maximal_ideal(pres)
-    probe = socle_probe(pres, ideal, 2, [3])
+    (probe,) = socle_probe(pres, ideal, [2], [3])
     assert probe.counts == ((3, 1),)
     assert probe.degrees_by_radius[0][1] == ((-1, -1),)
 
 
 def test_socle_hartshorne_counts(pres_hartshorne):
     ideal = MonomialIdeal.from_degrees(pres_hartshorne, [(1, 0, 0), (1, 1, 0)])
-    probe = socle_probe(pres_hartshorne, ideal, 2, [5])
+    (probe,) = socle_probe(pres_hartshorne, ideal, [2], [5])
     assert probe.counts == ((5, 6),)
     assert probe.degrees_by_radius[0][1] == tuple(
         (-2, -1, z) for z in range(6)
@@ -226,7 +226,7 @@ def test_cech_differentials_square_to_zero(pres_hartshorne):
 def test_socle_zero_module():
     pres = presentation("dim2_polynomial")
     ideal = MonomialIdeal.maximal_ideal(pres)
-    probe = socle_probe(pres, ideal, 1, [2, 4])
+    (probe,) = socle_probe(pres, ideal, [1], [2, 4])
     assert probe.counts == ((2, 0), (4, 0))
 
 
@@ -244,7 +244,7 @@ def test_socle_empty_when_facets_pin_support(pres_2dim):
     # two support functions vanish on generator columns, so no degree can
     # leave the complement of the semigroup under every translate
     ideal = MonomialIdeal.from_degrees(pres_2dim, [(1, 1)])
-    probe = socle_probe(pres_2dim, ideal, 1, [3, 6])
+    (probe,) = socle_probe(pres_2dim, ideal, [1], [3, 6])
     assert probe.counts == ((3, 0), (6, 0))
 
 
@@ -253,7 +253,7 @@ def test_module_support_rejects_negative_degree(pres_hartshorne):
     with pytest.raises(ValueError):
         module_support(pres_hartshorne, ideal, -1, (0, 0, 0))
     with pytest.raises(ValueError):
-        socle_probe(pres_hartshorne, ideal, -1, [2])
+        socle_probe(pres_hartshorne, ideal, [2, -1], [2])
 
 
 def test_module_support_empty_above_generator_count(pres_hartshorne):
@@ -261,30 +261,62 @@ def test_module_support_empty_above_generator_count(pres_hartshorne):
     t = len(ideal.generator_degrees)
     assert module_support(pres_hartshorne, ideal, t, (-2, -1, 0))
     assert not module_support(pres_hartshorne, ideal, t + 1, (-2, -1, 0))
-    probe = socle_probe(pres_hartshorne, ideal, t + 1, [2])
+    (probe,) = socle_probe(pres_hartshorne, ideal, [t + 1], [2])
     assert probe.counts == ((2, 0),)
+
+
+def _reference_socle_degrees(pres, ideal, degree, radius):
+    """Socle degrees of one cohomological degree in the centered box, in
+    lexicographic order, from module_support at every point and translate."""
+    cols = [c for c in pres.columns if any(c)]
+    return tuple(
+        a for a in product(range(-radius, radius + 1), repeat=pres.dim)
+        if module_support(pres, ideal, degree, a)
+        and not any(module_support(pres, ideal, degree, tuple(x + y for x, y in zip(a, c)))
+                    for c in cols)
+    )
+
+
+@pytest.mark.parametrize("name,ideal_kind", [
+    *((name, "file") for name in sorted(CORPUS) if CORPUS[name][1] != "maximal"),
+    *((name, "maximal") for name in sorted(CORPUS)),
+])
+def test_socle_probe_walks_once_for_every_degree(name, ideal_kind):
+    pres = presentation(name)
+    ideal = (MonomialIdeal.maximal_ideal(pres) if ideal_kind == "maximal"
+             else MonomialIdeal.from_degrees(pres, CORPUS[name][1]))
+    # every cohomological degree, one above the generator count, in reverse
+    degrees = list(range(len(ideal.generator_degrees) + 1, -1, -1))
+    joint = socle_probe(pres, ideal, degrees, [1, 3])
+    assert [p.cohomological_degree for p in joint] == degrees
+    for i, probe in zip(degrees, joint):
+        assert socle_probe(pres, ideal, [i], [1, 3]) == (probe,)
+        assert probe.degrees_by_radius[-1] == (
+            3, _reference_socle_degrees(pres, ideal, i, 3))
+    assert socle_probe(pres, ideal, [], [1, 3]) == ()
 
 
 @pytest.mark.parametrize("radii", [[], [-1], [3, -2]])
 def test_socle_probe_rejects_bad_radii(pres_hartshorne, radii):
     ideal = MonomialIdeal.from_degrees(pres_hartshorne, CORPUS["dim3_hartshorne"][1])
     with pytest.raises(ValueError):
-        socle_probe(pres_hartshorne, ideal, 2, radii)
+        socle_probe(pres_hartshorne, ideal, [2], radii)
 
 
 def test_socle_probe_evaluates_support_once_per_degree(monkeypatch):
-    # normal fast path: once per key, and every key of the box is asked;
-    # table path: once per degree, and every degree of the box is asked
+    # the probe memoizes Cech ranks, hence support, by key; normal fast
+    # path: once per key, and every key of the box is asked; table path:
+    # once per degree, and every degree of the box is asked
     asked = []
     monkeypatch.setattr(
-        cohomology, "module_support",
-        lambda p, i, k, a: asked.append(tuple(a)) or module_support(p, i, k, a))
+        cohomology, "cech_ranks",
+        lambda p, i, a: asked.append(tuple(a)) or cech_ranks(p, i, a))
     for name, count in (("dim3_hartshorne", 6), ("dim2_nonscored", 3)):
         pres = ToricPresentation.build(CORPUS[name][0])
         ideal = (MonomialIdeal.maximal_ideal(pres) if CORPUS[name][1] == "maximal"
                  else MonomialIdeal.from_degrees(pres, CORPUS[name][1]))
         asked.clear()
-        probe = socle_probe(pres, ideal, 2, [5])
+        (probe,) = socle_probe(pres, ideal, [2], [5])
         assert probe.counts == ((5, count),)
         keys = Counter(semigroups.degree_key(pres, a) for a in asked)
         assert max(keys.values()) == 1
@@ -311,7 +343,7 @@ def test_cech_ranks_match_per_subset_reference(name, ideal_kind):
 
 def test_cech_rank_memo_bounded_by_faces(pres_hartshorne):
     ideal = MonomialIdeal.from_degrees(pres_hartshorne, CORPUS["dim3_hartshorne"][1])
-    socle_probe(pres_hartshorne, ideal, 2, [10])
+    socle_probe(pres_hartshorne, ideal, [2], [10])
     table = pres_hartshorne._cech_tables[ideal.generator_degrees]
     assert 0 < len(table.ranks) <= 2 ** len(table.faces)
 
@@ -354,7 +386,7 @@ def test_socle_probe_computes_failing_facets_once_per_degree(monkeypatch):
     monkeypatch.setattr(
         cohomology, "cech_slice",
         lambda p, i, a: slices.append(tuple(a)) or cech_slice(p, i, a))
-    probe = socle_probe(pres, ideal, 2, [5])
+    (probe,) = socle_probe(pres, ideal, [2], [5])
     assert probe.counts == ((5, 6),)
     keys = [semigroups.degree_key(pres, a) for a in asked]
     assert len(set(keys)) == len(keys)

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR
 
@@ -330,3 +332,69 @@ def test_cli_parser_reused_across_runs(capsys):
     assert [outcome(argv) for argv in runs] == fresh
     assert cli._build_parser.cache_info().misses == 1
     assert [code for code, _, _ in fresh] == [0, 0, 0, 4, 4, 0, 0, 0]
+
+
+_rarely = st.sampled_from([False] * 3 + [True])
+
+
+@st.composite
+def _problem_text(draw):
+    """A problem file: 1-2 matrix rows of at most 4 entries in [-3, 3], an
+    optional ideal and options; some get a malformed line or an option
+    below its floor, and some are arbitrary text."""
+    if draw(_rarely) and draw(_rarely):
+        return draw(st.text(max_size=30))
+    rows = draw(st.integers(1, 2))
+    cols = draw(st.integers(1, 4))
+    matrix = [[draw(st.integers(-3, 3)) for _ in range(cols)] for _ in range(rows)]
+    lines = ["matrix:"] + [" ".join(map(str, row)) for row in matrix]
+    ideal = draw(st.sampled_from(["none", "maximal", "degrees"]))
+    if ideal == "maximal":
+        lines.append("ideal: maximal")
+    elif ideal == "degrees":
+        lines.append("ideal:")
+        lines.append(" ".join(str(draw(st.integers(0, 3))) for _ in range(rows)))
+    for key in draw(st.lists(st.sampled_from(["bound", "box", "samples", "margin"]),
+                             max_size=2, unique=True)):
+        lines.append(f"{key}: {draw(st.integers(-1, 3) if draw(_rarely) else st.integers(1, 3))}")
+    if draw(_rarely):
+        garble = draw(st.sampled_from(["x", "1 2 3 4 5", ":", "ideal:", "", "matrix:"]))
+        lines.insert(draw(st.integers(0, len(lines))), garble)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _cli_args(draw):
+    """A subcommand with options; some get a malformed or clashing flag."""
+    command = draw(st.sampled_from(["analyze", "sectors", "lc", "grd"]))
+    flags = []
+    for key in draw(st.lists(st.sampled_from(["--bound", "--box", "--samples", "--margin"]),
+                             max_size=2, unique=True)):
+        flags += [key, str(draw(st.integers(1, 3)))]
+    if command == "lc":
+        flags += draw(st.sampled_from([[], ["--maximal"], ["--ideal", "1,1"], ["--ideal", "1"]]))
+        flags += draw(st.sampled_from([[], ["--socle", "1,2"], ["--socle", "2"]]))
+    flags += draw(st.sampled_from([[], ["--format", "machine"]]))
+    if draw(_rarely):
+        flags += draw(st.sampled_from([
+            ["--format", "xml"], ["--box", "-1"], ["--margin", "x"], ["--socle", "a"],
+            ["--socle", "-1"], ["--ideal", "x"], ["--maximal", "--ideal", "1"], ["--nosuch"]]))
+    if draw(_rarely) and draw(_rarely):
+        command = "nosuch"
+    return command, flags
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_problem_text(), args=_cli_args())
+# one valid run per subcommand, on the table path and on both fast paths
+@example(text="matrix:\n2 0 1 1\n0 2 1 2\n", args=("sectors", []))
+@example(text="matrix:\n-2 -3\n", args=("grd", ["--format", "machine"]))
+@example(text="matrix:\n1 1 1\n0 1 3\nideal: maximal\n", args=("lc", ["--socle", "1,2"]))
+@example(text="matrix:\n1 1 1\n0 1 2\n", args=("analyze", ["--margin", "1"]))
+def test_cli_contract_on_random_problems(tmp_path, text, args):
+    """Every input ends in a documented exit code; no exception escapes."""
+    path = tmp_path / "fuzz.toric"
+    path.write_text(text, encoding="utf-8")
+    command, flags = args
+    assert run([command, str(path), *flags]) in {0, 2, 3, 4, 5}

@@ -2,9 +2,10 @@
 
 from collections import Counter
 from functools import cache
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS, enumeration, presentation, reference_cech_ranks
@@ -416,6 +417,18 @@ def test_escape_count_reflection_identity():
             assert escape_count(pres, (-w,)) == w + escape_count(pres, (w,))
 
 
+@settings(max_examples=60, deadline=None)
+@given(gens=st.lists(st.integers(1, 15), min_size=1, max_size=4))
+def test_escape_count_matches_definition(gens):
+    # the closed form on the gap set against the count it stands for
+    assume(gcd(*gens) == 1)
+    ns = numerical_semigroup(gens)
+    c = ns.conductor
+    for shift in range(-4 * c - 10, 4 * c + 11):
+        brute = sum(1 for x in range(c - shift) if x in ns and x + shift not in ns)
+        assert ns.escape_count(shift) == brute, shift
+
+
 def test_escape_count_needs_dim1(pres_2dim):
     with pytest.raises(DimensionUnsupported):
         escape_count(pres_2dim, (1, 0))
@@ -483,12 +496,44 @@ def _brute_membership(pres, a, coeff_cap=12):
     return False
 
 
+def _reference_table_members(tbl) -> dict:
+    """The member states of a built table, with their facet values, from a
+    breadth-first closure that carries a lift per state and projects the
+    lift plus each move."""
+    quot = tbl.quotient
+    zero = la.zero_vector(quot.ambient_rank)
+    origin = quot.project(zero)
+    members = {origin: (0,) * len(tbl.relevant)}
+    lifts = {origin: zero}
+    frontier = [origin]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for col, mv_vals in tbl.moves:
+                vals = tuple(v + m for v, m in zip(members[state], mv_vals))
+                if any(v > c for v, c in zip(vals, tbl.caps)):
+                    continue
+                lift = la.vadd(lifts[state], col)
+                new_state = quot.project(lift)
+                if new_state not in members:
+                    members[new_state] = vals
+                    lifts[new_state] = lift
+                    nxt.append(new_state)
+        frontier = nxt
+    return members
+
+
+# perfbench/problems/table2d_a: no fast path, and both ray quotients have
+# torsion 3, so its tables step through the modular reduction
+TABLE2D_A = [[3, 0, 1, 2, 1, 2], [0, 3, 1, 1, 2, 2]]
+
+
 def test_membership_routes_agree_on_random_presentations():
     import random
 
     rng = random.Random(421)
-    built = 0
-    while built < 6:
+    cases = []
+    while len(cases) < 6:
         d = rng.choice((1, 2))
         n = rng.randint(d, d + 2)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
@@ -498,14 +543,29 @@ def test_membership_routes_agree_on_random_presentations():
             continue
         if not pres.pointed:
             continue
-        built += 1
+        cases.append((rows, pres, True))
+    table2d_a = ToricPresentation.build(TABLE2D_A)
+    assert table2d_a.fast_path is None
+    assert {table2d_a.face_quotient(f.face_id).torsion_invariants
+            for f in table2d_a.face_lattice.faces if f.dim == 1} == {(3,)}
+    cases.append((TABLE2D_A, table2d_a, False))
+    for rows, pres, brute in cases:
+        d = pres.dim
         pts = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(25)]
         for a in pts:
             got = in_semigroup(pres, a)
-            assert got == face_membership_search(
-                pres, a, pres.face_lattice.bottom_id
-            ), (rows, a)
-            assert got == _brute_membership(pres, a), (rows, a)
+            if brute:
+                assert got == _brute_membership(pres, a), (rows, a)
+            for face in pres.face_lattice.faces:
+                f = face.face_id
+                expected = face_membership_search(pres, a, f)
+                assert in_face_localization(pres, a, f) == expected, (rows, a, f)
+                if f != pres.face_lattice.top_id:
+                    # the table route, also where a fast path answers above
+                    assert pres._table_membership(a, f) == expected, (rows, a, f)
+        assert pres._tables
+        for f, tbl in pres._tables.items():
+            assert tbl.members == _reference_table_members(tbl), (rows, f)
 
 
 def test_build_validates_options():
