@@ -1,8 +1,11 @@
 """sha256 digests of the machine reports of the corpus jobs.
 
 The jobs are the 11 corpus problems under `analyze`, `sectors`, `lc` and
-`grd`, and under `lc --socle 2,4` and `lc --socle 5,10` (66 jobs).  Each
-runs in process with `--format machine` and the problem path relative to
+`grd`, and under `lc --socle 2,4` and `lc --socle 5,10` (66 jobs), plus
+five jobs on benchmark problems that the corpus does not reach: the dim-3
+scored route with nonzero conductors (pentagon_scored), the torsion table
+route (table2d_a) and a 14-face sector inventory (hexagon); their input
+files are only read.  Each runs in process with `--format machine` and the problem path relative to
 the repository root, which the report echoes.  tests/test_report_digests.py
 checks the digests recorded in tests/data/corpus_report_digests.json;
 after a deliberate change to the reports, rewrite that file from the root
@@ -33,12 +36,23 @@ COMMANDS = (
     ("analyze",), ("sectors",), ("lc",), ("grd",),
     ("lc", "--socle", "2,4"), ("lc", "--socle", "5,10"),
 )
+BENCH_JOBS = (
+    ("sectors", "pentagon_scored"),
+    ("lc", "pentagon_scored", "--maximal", "--socle", "2,4"),
+    ("sectors", "table2d_a"),
+    ("lc", "table2d_a", "--maximal", "--socle", "2,4"),
+    ("sectors", "hexagon"),
+)
 
 
 def jobs() -> list:
     """Every job as its argument list, the report format left out."""
-    return [[command[0], f"corpus/{name}.toric", *command[1:]]
-            for name in PROBLEMS for command in COMMANDS]
+    return [
+        *([command[0], f"corpus/{name}.toric", *command[1:]]
+          for name in PROBLEMS for command in COMMANDS),
+        *([command, f"perfbench/problems/{name}.toric", *rest]
+          for command, name, *rest in BENCH_JOBS),
+    ]
 
 
 def digest(argv) -> tuple:
