@@ -18,8 +18,8 @@ consecutive growth steps discover no new signature; the theory guarantees
 finiteness but no effective bound, so the box used is always reported.
 Each growth step scans only the shell outside the previous box, a scan
 line at a time.  On the normal and scored fast paths a degree enters only
-through its key, the facet values clamped where no fast-path answer can
-change (semigroups.key_clamps), so signatures are memoized per key on the
+through its key, the mask of the facets failing the route's test
+(semigroups.line_keys), so signatures are memoized per key on the
 presentation; on the table path each degree is signed once and nothing is
 memoized per degree.
 """

@@ -26,18 +26,16 @@ functions of the facets containing the face; for a scored one, to value
 checks against the facet numerical semigroups.  The normal shortcut
 follows from normality; the scored one is validated against the table
 oracle on the verification box, through the failing-facet masks that
-answer the queries, and is disabled on any disagreement.  On a shortcut,
-asking many faces about one degree is one facet mask: localization_faces
-evaluates every facet once, collects the facets that fail the route's test
-into a bitmask, and a face's localization contains the degree iff none of
-the face's facets is in that mask.  A single face (in_face_localization)
-tests only the facets containing it.
+answer the queries, and is disabled on any disagreement.
 
-On a shortcut every answer depends on a degree only through its key, the
-facet values clamped to the interval outside which the route's test is
-constant (key_clamps), so the faces present are memoized per key.
-line_keys gives the keys of a whole scan line at once, which is how the
-class scan and socle probes walk their boxes.
+On a shortcut the failing-facet mask of a degree, the bitmask of the
+facets whose value fails the route's test, is its key: a face's
+localization contains the degree iff none of the face's facets is in the
+mask, so every shortcut answer depends on a degree only through it (the
+sector data of Helm-Miller's sector partition).  One line kernel
+(_line_masks) computes the masks of a whole scan line, which is how the
+class scan and socle probes walk their boxes; the faces present are
+memoized per mask.
 """
 
 from __future__ import annotations
@@ -176,7 +174,6 @@ class ToricPresentation:
         self._tables = {}
         self._residue_reps = {}
         self._cech_tables = {}
-        self._key_clamps = None
         self._present_by_key = {}
         self._signatures = {}
         self._zero_facet_masks = ()
@@ -367,32 +364,20 @@ class _BfsTable:
 # -- public membership oracles ----------------------------------------------
 
 
-def _facet_passes(pres: ToricPresentation, route: str, facet_id: int, value: int) -> bool:
-    """The route's test on one facet value: nonnegative for route "normal",
-    in the facet numerical semigroup for route "scored"."""
-    if route == "normal":
-        return value >= 0
-    return value in pres.facet_semigroup(facet_id)
-
-
 def _failing_facets(pres: ToricPresentation, route: str, a) -> int:
-    """Bitmask of the facets whose value at the degree fails the route's
-    test, from one pass over the facet rows."""
-    mask = 0
-    for s in pres.supports:
-        if not _facet_passes(pres, route, s.facet_id, s.value(a)):
-            mask |= 1 << s.facet_id
-    return mask
+    """The failing-facet mask of one degree (see _line_masks)."""
+    a = la.vec(a)
+    return _line_masks(pres, route, a[:-1], a[-1:])[0]
 
 
 def localization_faces(pres: ToricPresentation, a, face_ids) -> frozenset:
     """The faces among face_ids whose localization (semigroup + group of the
     face) contains the degree.
 
-    On a fast path the faces present at the degree's key are memoized per
-    key, from one failing-facet mask per new key: a face is present iff its
-    zero-facet mask misses the failing facets.  On the table path each face
-    is asked in the given order, so table rebuilds follow the queries."""
+    On a fast path the degree's key is its failing-facet mask, and a face
+    is present iff its zero-facet mask misses the key; the faces present
+    are memoized per key.  On the table path each face is asked in the
+    given order, so table rebuilds follow the queries."""
     pres._require_pointed()
     a = la.vec(a)
     if pres.fast_path is None:
@@ -400,10 +385,8 @@ def localization_faces(pres: ToricPresentation, a, face_ids) -> frozenset:
     key = degree_key(pres, a)
     present = pres._present_by_key.get(key)
     if present is None:
-        failing = _failing_facets(pres, pres.fast_path, a)
-        present = frozenset(
-            f for f, mask in enumerate(pres._zero_facet_masks) if not mask & failing)
-        pres._present_by_key[key] = present
+        present = pres._present_by_key[key] = frozenset(
+            f for f, mask in enumerate(pres._zero_facet_masks) if not mask & key)
     return present.intersection(face_ids)
 
 
@@ -421,10 +404,7 @@ def in_face_localization(pres: ToricPresentation, a, face_id: int) -> bool:
         return True
     if pres.fast_path is None:
         return pres._table_membership(a, face_id)
-    return all(
-        _facet_passes(pres, pres.fast_path, s, pres.supports[s].value(a))
-        for s in lattice.face(face_id).zero_facets
-    )
+    return not pres._zero_facet_masks[face_id] & degree_key(pres, a)
 
 
 def face_membership_search(pres: ToricPresentation, a, face_id: int,
@@ -554,50 +534,43 @@ def escape_count(pres: ToricPresentation, shift) -> int:
 # -- per-degree keys on the fast paths -----------------------------------------
 
 
-def key_clamps(pres: ToricPresentation) -> tuple:
-    """Per facet s, the interval [lo_s, hi_s] that degree keys clamp F_s to:
-    [-1, conductor of the facet semigroup] on route scored and [-1, 0] on
-    route normal.
+def _line_masks(pres: ToricPresentation, route: str, prefix, xs) -> list:
+    """Failing-facet masks of the degrees prefix + (x,), for every x in xs.
 
-    Every fast-path answer applies the route's test to F_s(a - r), where r
-    is zero or a torsion residue representative of a face inside facet s.
-    Such an r lies in the span of its face, so F_s(a - r) = F_s(a).  The
-    test fails below 0 and passes from the conductor on, so every answer is
-    constant outside the interval.  Computed on first use, not in build.
-    """
-    if pres._key_clamps is None:
-        pres._key_clamps = tuple(
-            (-1, 0 if pres.fast_path == "normal"
-             else pres.facet_semigroup(s.facet_id).conductor)
-            for s in pres.supports
-        )
-    return pres._key_clamps
+    Bit s is set iff F_s fails the route's test: F_s < 0 on route
+    "normal", F_s < 0 or F_s a gap of the facet numerical semigroup on
+    route "scored".  Each facet's value at the prefix is computed once."""
+    bits = []
+    for s in pres.supports:
+        gaps = pres.facet_semigroup(s.facet_id).gaps if route == "scored" else ()
+        base = sum(map(mul, s.coefficients, prefix))
+        slope = s.coefficients[-1]
+        bit = 1 << s.facet_id
+        bits.append([bit if (v := base + slope * x) < 0 or v in gaps else 0 for x in xs])
+    # distinct facets set distinct bits, so a degree's sum is their union
+    return list(map(sum, zip(*bits)))
 
 
 def line_keys(pres: ToricPresentation, prefix, xs, shift=None) -> list:
     """Keys of the degrees prefix + (x,), translated by shift when given,
     for every x in xs.
 
-    On a fast path the key is the tuple of facet values clamped to
-    key_clamps, so two degrees with one key get the same answer to every
-    fast-path question; each facet's value at the prefix is computed once
-    per line.  On the table path the key is the degree itself."""
+    On a fast path the key is the failing-facet mask (_line_masks).  Every
+    fast-path answer applies the route's test to F_s(a - r), with r zero
+    or a torsion residue representative of a face inside facet s; such an
+    r lies in its face's span, so F_s(a - r) = F_s(a), and two degrees with
+    one mask get the same answer to every fast-path question.  On the
+    table path the key is the degree itself."""
     if shift is not None:
-        # vadd and the dot products below stop at the end of the prefix
+        # vadd and the dot products of the kernel stop at the end of the prefix
         prefix = la.vadd(prefix, shift)
         xs = [x + shift[-1] for x in xs]
     if pres.fast_path is None:
         return [prefix + (x,) for x in xs]
-    clamped = []
-    for s, (lo, hi) in zip(pres.supports, key_clamps(pres)):
-        base = sum(map(mul, s.coefficients, prefix))
-        slope = s.coefficients[-1]
-        values = [base + slope * x for x in xs]
-        clamped.append([lo if v < lo else hi if v > hi else v for v in values])
-    return list(zip(*clamped))
+    return _line_masks(pres, pres.fast_path, prefix, xs)
 
 
-def degree_key(pres: ToricPresentation, a) -> tuple:
+def degree_key(pres: ToricPresentation, a):
     """The key of one degree, as line_keys gives it."""
     a = la.vec(a)
     return line_keys(pres, a[:-1], a[-1:])[0]

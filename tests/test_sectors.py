@@ -70,7 +70,7 @@ def test_residues_nontrivial_torsion():
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_residue_reps_vanish_on_the_facets_of_their_face(name):
-    # so a residue shifts no facet value that a fast-path key clamps
+    # so a residue shifts no facet value that a fast-path key reads
     pres = presentation(name)
     for face in pres.face_lattice.faces:
         for rep in face_residue_reps(pres, face.face_id):

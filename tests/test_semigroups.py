@@ -34,7 +34,7 @@ from toriclc import (
 from toriclc import intlinalg as la
 from toriclc import semigroups
 from toriclc.errors import FullLatticeRequired
-from toriclc.semigroups import _facet_box_points, key_clamps, line_keys
+from toriclc.semigroups import _facet_box_points, line_keys
 
 
 def test_numerical_semigroup_23():
@@ -161,11 +161,14 @@ def _keyed(name):
 
 
 def _reference_key(pres, a):
-    """A degree's key from its own facet values, one degree at a time."""
+    """A degree's key from its own facet values, one degree at a time: the
+    mask of the facets whose value is negative (route normal) or outside
+    the facet numerical semigroup (route scored)."""
     if pres.fast_path is None:
         return a
-    return tuple(min(max(v, lo), hi)
-                 for v, (lo, hi) in zip(pres.facet_values(a), key_clamps(pres)))
+    return sum(
+        1 << s for s, v in enumerate(pres.facet_values(a))
+        if (v < 0 if pres.fast_path == "normal" else v not in pres.facet_semigroup(s)))
 
 
 def test_pentagon_scored_has_conductors():
