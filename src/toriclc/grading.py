@@ -36,7 +36,6 @@ from .errors import (
 )
 from .semigroups import (
     ToricPresentation,
-    escape_count,
     in_face_localization,
     in_semigroup,
 )
@@ -171,11 +170,10 @@ def gr_generators_dim1(pres: ToricPresentation) -> tuple:
         raise DimensionUnsupported("generator pairs are a dim-1 construction")
     pres._require_pointed()
     ns = pres.facet_semigroup(0)
-    sign = 1 if pres.supports[0].coefficients[0] > 0 else -1
     pairs = {(1, 1)}
     for w in sorted(set(ns.generators) | ns.gaps):
-        up = escape_count(pres, (sign * w,))
-        down = escape_count(pres, (-sign * w,))
+        up = ns.escape_count(w)
+        down = ns.escape_count(-w)
         pairs.add((up, down))
         pairs.add((down, up))
     return tuple(sorted(pairs))
@@ -225,9 +223,8 @@ def notcm_certificate(pres: ToricPresentation) -> NotCMCertificate:
     if pres.normal:
         raise IsNormal("the graded ring of a normal dim-1 algebra is regular")
     ns = pres.facet_semigroup(0)
-    sign = 1 if pres.supports[0].coefficients[0] > 0 else -1
     pairs = gr_generators_dim1(pres)
-    threshold = max(2 * escape_count(pres, (-sign * w,)) for w in ns.gaps)
+    threshold = max(2 * ns.escape_count(-w) for w in ns.gaps)
     memo = {}
     strip = []
     for total in (threshold, threshold + 1):

@@ -251,28 +251,30 @@ def class_poset(classes) -> ClassPoset:
     return ClassPoset(tuple(sorted(below)), tuple(extension))
 
 
-FILTER_FACE_LIMIT = 18  # most faces whose filters are enumerated by bitmask
+# most faces whose filters a sector inventory lists: their number can grow
+# exponentially with the faces, so above this (the cube has 28 faces) reports
+# list only the observed sectors
+FILTER_FACE_LIMIT = 18
 
 
 def all_sector_filters(pres: ToricPresentation) -> tuple:
     """Every filter of the face lattice containing the full cone.
 
-    Enumerated by bitmask when the lattice has at most FILTER_FACE_LIMIT
-    faces; the region of a filter missing the full cone is empty, so such
-    filters are skipped.
+    Built top down, when the lattice has at most FILTER_FACE_LIMIT faces:
+    the faces are visited by decreasing dimension, and face f joins every
+    filter built so far that already holds every face above f, so each
+    filter is built once.  The region of a filter missing the full cone is
+    empty, so such filters are skipped.
     """
     lattice = pres.face_lattice
     n = len(lattice)
     if n > FILTER_FACE_LIMIT:
         raise ValueError(f"face lattice too large to enumerate filters ({n} faces)")
-    top = lattice.top_id
-    out = []
-    for mask in range(1 << n):
-        if not mask & (1 << top):
-            continue
-        chosen = frozenset(i for i in range(n) if mask & (1 << i))
-        if lattice.is_filter(chosen):
-            out.append(chosen)
+    out = [frozenset((lattice.top_id,))]
+    for k in range(lattice.dim - 1, -1, -1):
+        for f in lattice.faces_of_dim(k):
+            above = {g for g in range(n) if g != f and lattice.leq(f, g)}
+            out += [faces | {f} for faces in out if above <= faces]
     out.sort(key=lambda s: (len(s), sorted(s)))
     return tuple(out)
 

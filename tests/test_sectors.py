@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from conftest import CORPUS, enumeration, presentation
+from test_semigroups import PENTAGON_SCORED
 
 from toriclc import (
     ToricPresentation,
@@ -114,6 +115,26 @@ def test_empty_sector_2dim():
     assert inventory[frozenset({s1, s2, top})] is False
     assert inventory[frozenset({s1, top})] is True
     assert inventory[frozenset({top})] is True
+
+
+def _brute_force_filters(lattice):
+    """Every upward-closed set of faces holding the full cone, one subset
+    of the faces at a time, in the order all_sector_filters reports."""
+    n = len(lattice)
+    out = []
+    for mask in range(1 << n):
+        chosen = {i for i in range(n) if mask >> i & 1}
+        if lattice.top_id in chosen and all(
+                j in chosen for i in chosen for j in range(n) if lattice.leq(i, j)):
+            out.append(frozenset(chosen))
+    return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
+
+
+@pytest.mark.parametrize("name", [*sorted(CORPUS), "pentagon_scored"])
+def test_all_sector_filters_match_brute_force(name):
+    pres = (ToricPresentation.build(PENTAGON_SCORED) if name == "pentagon_scored"
+            else presentation(name))
+    assert sectors.all_sector_filters(pres) == _brute_force_filters(pres.face_lattice)
 
 
 def test_identity2_four_classes():

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from functools import cache
+from itertools import product
 from math import gcd
 
 import pytest
@@ -127,15 +128,16 @@ def _box_points(pres):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_fast_paths_and_dfs_agree_on_box(name):
     # dual-route check: table/fast-path answers match the independent
-    # depth-first oracle on the verification box, for every face
+    # depth-first oracle for every face, on the verification box and on the
+    # centered box [-4, 4]^dim; the verification box only holds nonnegative
+    # facet values, so only the centered one sees a facet failing by sign
     pres = presentation(name)
-    points = _box_points(pres)
-    step = max(1, len(points) // 40)
-    sample = points[::step]
-    for face in pres.face_lattice.faces:
-        for a in sample:
-            assert in_face_localization(pres, a, face.face_id) == \
-                face_membership_search(pres, a, face.face_id)
+    for points in (_box_points(pres), list(product(range(-4, 5), repeat=pres.dim))):
+        step = max(1, len(points) // 40)
+        for face in pres.face_lattice.faces:
+            for a in points[::step]:
+                assert in_face_localization(pres, a, face.face_id) == \
+                    face_membership_search(pres, a, face.face_id, search_bound=100)
 
 
 # the scored pentagon cone of the benchmark's class scans: a scored fast
