@@ -10,8 +10,8 @@ keyed by the set of localization faces whose support contains the degree,
 so the memo holds at most 2^#faces entries however many degrees are asked.
 That key comes from one localization_faces call per degree, which on the
 fast paths reads the faces off the degree's failing-facet mask, memoized
-per mask (semigroups.line_keys).  A socle probe walks its box once for all the
-cohomological degrees it is given, a scan line at a time, and memoizes
+per mask (semigroups.line_keys).  A socle probe walks its box once for all
+the cohomological degrees it is given, a scan line at a time, and memoizes
 Cech ranks by the same keys.
 Assembly evaluates one representative per class and cross-checks
 additional samples, aborting on any disagreement instead of averaging.

@@ -5,11 +5,11 @@ The jobs are the 11 corpus problems under `analyze`, `sectors`, `lc` and
 five jobs on benchmark problems that the corpus does not reach: the dim-3
 scored route with nonzero conductors (pentagon_scored), the torsion table
 route (table2d_a) and a 14-face sector inventory (hexagon); their input
-files are only read.  Each runs in process with `--format machine` and the problem path relative to
-the repository root, which the report echoes.  tests/test_report_digests.py
-checks the digests recorded in tests/data/corpus_report_digests.json;
-after a deliberate change to the reports, rewrite that file from the root
-of a checkout with
+files are only read.  Each runs in process with `--format machine` and
+the problem path relative to the repository root, which the report
+echoes.  tests/test_report_digests.py checks the digests recorded in
+tests/data/corpus_report_digests.json; after a deliberate change to the
+reports, rewrite that file from the root of a checkout with
 
     PYTHONPATH=src python tests/report_digests.py
 """
