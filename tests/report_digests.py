@@ -2,9 +2,10 @@
 
 The jobs are the 11 corpus problems under `analyze`, `sectors`, `lc` and
 `grd`, and under `lc --socle 2,4` and `lc --socle 5,10` (66 jobs), plus
-five jobs on benchmark problems that the corpus does not reach: the dim-3
-scored route with nonzero conductors (pentagon_scored), the torsion table
-route (table2d_a) and a 14-face sector inventory (hexagon); their input
+seven jobs on benchmark problems that the corpus does not reach: the
+dim-3 scored route with nonzero conductors (pentagon_scored), the torsion
+table route (table2d_a), a 14-face sector inventory (hexagon) and `grd`
+on a scored dim-3 cone and on a normal non-simplicial one; their input
 files are only read.  Each runs in process with `--format machine` and
 the problem path relative to the repository root, which the report
 echoes.  tests/test_report_digests.py checks the digests recorded in
@@ -42,6 +43,8 @@ BENCH_JOBS = (
     ("sectors", "table2d_a"),
     ("lc", "table2d_a", "--maximal", "--socle", "2,4"),
     ("sectors", "hexagon"),
+    ("grd", "pentagon_scored"),
+    ("grd", "hexagon"),
 )
 
 
