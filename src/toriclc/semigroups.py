@@ -40,7 +40,7 @@ memoized per mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
 from math import gcd
@@ -71,6 +71,21 @@ class NumericalSemigroup:
     generators: tuple
     conductor: int
     gaps: frozenset
+    # escape counts at the shifts 1 - conductor, ..., conductor - 1
+    _escapes: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Table the escape counts once, from the gap set.
+
+        x + shift leaves the semigroup either below 0, which takes the
+        members under max(0, -shift), or at a gap g, which takes the member
+        g - shift when there is one; the two cases are disjoint."""
+        table = []
+        for shift in range(1 - self.conductor, self.conductor):
+            below = max(0, -shift)
+            table.append(below - sum(1 for g in self.gaps if g < below)
+                         + sum(1 for g in self.gaps if g - shift in self))
+        object.__setattr__(self, "_escapes", tuple(table))
 
     def __contains__(self, x) -> bool:
         x = int(x)
@@ -82,13 +97,16 @@ class NumericalSemigroup:
         """Number of members x with x + shift outside the semigroup; finite
         because everything from the conductor on is a member.
 
-        x + shift leaves the semigroup either below 0, which takes the
-        members under max(0, -shift), or at a gap g, which takes the member
-        g - shift when there is one; the two cases are disjoint, so the
-        count is read off the gap set in O(#gaps) at any shift."""
-        below = max(0, -shift)
-        return (below - sum(1 for g in self.gaps if g < below)
-                + sum(1 for g in self.gaps if g - shift in self))
+        A shift of at least the conductor moves every member to the
+        conductor or beyond.  One of at most minus the conductor moves
+        -shift members out: the -shift - #gaps members below -shift, and
+        for each gap g the member g - shift, which is past the conductor.
+        The counts in between are tabled, so every call is O(1)."""
+        if shift >= self.conductor:
+            return 0
+        if shift <= -self.conductor:
+            return -shift
+        return self._escapes[shift + self.conductor - 1]
 
 
 def numerical_semigroup(values) -> NumericalSemigroup:
@@ -176,6 +194,8 @@ class ToricPresentation:
         self._cech_tables = {}
         self._present_by_key = {}
         self._signatures = {}
+        # grading's generator monomials and exponent-map checks, on first use
+        self._exponent_map = None
         self._zero_facet_masks = ()
         self._zero_facet_ids = ()
         self.normal = None
@@ -661,16 +681,25 @@ def _classify(pres: ToricPresentation) -> None:
         for s in pres.supports
     }
     pres.verification_box = tuple(caps[s.facet_id] for s in pres.supports)
+
+    def holds_box(box) -> bool:
+        """Whether the oracle accepts every point of the box on the bottom
+        face, from a table built once at the box's caps rather than grown
+        to them by doubling."""
+        pres._table(bottom).rebuild(
+            [box[s] for s in pres._zero_facet_ids[bottom]], pres.table_state_limit)
+        return all(oracle(a, bottom) for a in _facet_box_points(pres, box))
+
     # Q is normal iff it holds every parallelepiped point of every simplicial
     # cone spanned by columns (Bruns-Gubeladze, Polytopes, Rings, and
-    # K-Theory, 2009).  Every point of the normal box lies in the cone, so a
-    # point outside Q is a hole and the verdict is exact either way.  The
-    # bottom-face table is built once at the box's caps rather than grown to
-    # them by doubling.
+    # K-Theory, 2009).  Every box point lies in the cone, so a point outside
+    # Q is a hole and the verdict is exact either way.  The part of the
+    # normal box inside the verification box, which the flag checks below
+    # table anyway, is searched for a hole first.
     normal_caps = _normal_caps(pres)
-    pres._table(bottom).rebuild(
-        [normal_caps[s] for s in pres._zero_facet_ids[bottom]], pres.table_state_limit)
-    pres.normal = all(oracle(a, bottom) for a in _facet_box_points(pres, normal_caps))
+    inner_caps = {s: min(caps[s], normal_caps[s]) for s in caps}
+    pres.normal = holds_box(inner_caps) and (
+        inner_caps == normal_caps or holds_box(normal_caps))
     if pres.normal:
         # normal => scored => S2, and each localization is cut out by the
         # facets containing its face, so no per-face check is needed
@@ -678,20 +707,23 @@ def _classify(pres: ToricPresentation) -> None:
         pres.fast_path = "normal"
         pres.flag_evidence = dict.fromkeys(("normal", "scored", "serre_s2"), "certified")
         return
-    points = _facet_box_points(pres, caps)
-    failing = [_failing_facets(pres, "scored", a) for a in points]
     masks = pres._zero_facet_masks
 
-    def masks_agree(face_ids) -> bool:
-        """Whether the scored facet masks match the table oracle on every
-        box point of every given face."""
+    def with_masks(degrees) -> list:
+        return [(a, _failing_facets(pres, "scored", a)) for a in degrees]
+
+    def masks_agree(face_ids, keyed) -> bool:
+        """Whether the scored failing-facet masks match the table oracle at
+        every (degree, mask) pair on every given face."""
         return all(
             oracle(a, f) == (not masks[f] & fail)
-            for f in face_ids for a, fail in zip(points, failing)
+            for f in face_ids for a, fail in keyed
         )
 
+    points = _facet_box_points(pres, caps)
+    keyed = with_masks(points)
     facet_ids = [lattice.facet_face_id(s.facet_id) for s in pres.supports]
-    pres.scored = masks_agree([bottom])
+    pres.scored = masks_agree([bottom], keyed)
     pres.serre_s2 = all(
         oracle(a, bottom) == all(oracle(a, f) for f in facet_ids) for a in points
     )
@@ -703,7 +735,10 @@ def _classify(pres: ToricPresentation) -> None:
         "scored": "box" if pres.scored else "certified",
         "serre_s2": "box" if pres.serre_s2 else "certified",
     }
-    # trust the scored masks only where they match the table oracle on the
-    # box for every proper face
+    # trust the scored masks only where they match the table oracle for
+    # every proper face on the box, whose facet values are nonnegative, and
+    # on the negated box, where a nonzero facet value tests the facet's sign
     proper = [f.face_id for f in lattice.faces if f.face_id != lattice.top_id]
-    pres.fast_path = "scored" if pres.scored and masks_agree(proper) else None
+    pres.fast_path = "scored" if (
+        pres.scored and masks_agree(proper, keyed)
+        and masks_agree(proper, with_masks(map(la.vneg, points)))) else None

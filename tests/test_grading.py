@@ -2,13 +2,19 @@
 
 import pytest
 
+import random
+from collections import Counter
+
 from conftest import CORPUS, presentation
+from report_digests import digest
+from test_semigroups import PENTAGON_SCORED
 
 from toriclc import (
     DimensionUnsupported,
     HypothesisFailed,
     IsNormal,
     NotScored,
+    ToricPresentation,
     char_variety_max,
     fiber_at_orbit,
     fiber_at_origin,
@@ -19,13 +25,17 @@ from toriclc import (
     theta_exponents,
     verify_exponent_identities,
 )
+from toriclc import grading, semigroups
+
+
+def brute_escape_count(ns, shift, window=200):
+    """Independent oracle: enumerate the numerical semigroup directly."""
+    return sum(1 for x in range(window) if x in ns and (x + shift) not in ns)
 
 
 def brute_theta_exponent(pres, a, facet_id, window=200):
-    """Independent oracle: enumerate the facet value semigroup directly."""
-    ns = pres.facet_semigroup(facet_id)
-    f = pres.supports[facet_id].value(a)
-    return sum(1 for x in range(window) if x in ns and (x + f) not in ns)
+    return brute_escape_count(
+        pres.facet_semigroup(facet_id), pres.supports[facet_id].value(a), window)
 
 
 def test_theta_exponent_normal_is_negative_part(pres_2dim):
@@ -85,6 +95,47 @@ def test_theta_additive_on_negated_members():
 
 
 SCORED = [n for n in sorted(CORPUS) if n != "dim2_nonscored"]
+
+
+def graded_ring(name):
+    """The two-dimensional graded ring of a non-normal dim-1 problem, built
+    as notcm_certificate builds it."""
+    pairs = gr_generators_dim1(presentation(name))
+    return ToricPresentation.build([[u for u, _ in pairs], [v for _, v in pairs]])
+
+
+DIM1_NON_NORMAL = [n for n in sorted(CORPUS) if n.startswith("dim1_") and n != "dim1_weyl"]
+
+
+def _facet_semigroup_sources():
+    yield from ((name, presentation(name)) for name in sorted(CORPUS))
+    yield "pentagon_scored", ToricPresentation.build(PENTAGON_SCORED)
+    yield from ((f"gr({name})", graded_ring(name)) for name in DIM1_NON_NORMAL)
+
+
+def test_escape_table_matches_enumeration():
+    checked = 0
+    for name, pres in _facet_semigroup_sources():
+        for s in pres.supports:
+            ns = pres.facet_semigroup(s.facet_id)
+            c = ns.conductor
+            for t in [*range(-c - 3, c + 4), -1000, 1000]:
+                # no member at or past c + |t| leaves the semigroup
+                assert ns.escape_count(t) == \
+                    brute_escape_count(ns, t, c + abs(t) + 1), (name, s.facet_id, t)
+            checked += 1
+    assert checked == 18 + 5 + 10  # corpus, pentagon and graded-ring facets
+
+
+@pytest.mark.parametrize("name", SCORED)
+def test_theta_exponents_match_enumeration_on_random_degrees(name):
+    pres = presentation(name)
+    rng = random.Random(14)
+    for _ in range(60):
+        a = tuple(rng.randint(-30, 30) for _ in range(pres.dim))
+        assert theta_exponents(pres, a) == tuple(
+            brute_theta_exponent(pres, a, s.facet_id, window=400)
+            for s in pres.supports), a
 
 
 @pytest.mark.parametrize("name", SCORED)
@@ -255,6 +306,47 @@ def test_char_variety_2dim(pres_2dim):
 def test_char_variety_hartshorne_accepts_nonsimplicial(pres_hartshorne):
     cert = char_variety_max(pres_hartshorne)
     assert cert.verified
+
+
+def test_grd_runs_exponent_map_checks_once_per_presentation(monkeypatch):
+    # origin fiber and characteristic variety share one run; each orbit
+    # fiber certifies a quotient presentation of its own
+    expected = {name: 1 for name in CORPUS if name.startswith("dim1_")}
+    expected.update(dim2_normal=3, dim2_polynomial=3, dim2_scored_nonnormal=3,
+                    dim2_nonscored=0, dim3_hartshorne=1)
+    runs = Counter()
+    checks = grading._exponent_map_checks
+
+    def counted(pres):
+        runs[job] += 1
+        return checks(pres)
+
+    monkeypatch.setattr(grading, "_exponent_map_checks", counted)
+    for job in sorted(CORPUS):
+        assert digest(["grd", f"corpus/{job}.toric"])[0] == 0
+    assert runs == Counter(expected)
+    assert sum(runs.values()) == 16
+
+
+@pytest.mark.parametrize("name", ["dim1_cusp", "dim2_normal", "dim2_scored_nonnormal"])
+def test_shared_exponent_map_checks_do_not_depend_on_call_order(name):
+    rows = CORPUS[name][0]
+    pres = ToricPresentation.build(rows)
+    char_first = char_variety_max(pres)
+    origin_second = fiber_at_origin(pres)
+    assert char_first == char_variety_max(ToricPresentation.build(rows))
+    assert origin_second == fiber_at_origin(ToricPresentation.build(rows))
+    assert char_first.verified and origin_second.verified
+
+
+def test_non_normal_build_tables_only_the_inner_box():
+    # the graded ring of dim1_4_6_9 has a hole inside its (10, 10)
+    # verification box, so its normality box (21, 21) is never tabled
+    pres = graded_ring("dim1_4_6_9")
+    assert pres.verification_box == (10, 10)
+    assert tuple(semigroups._normal_caps(pres).values()) == (21, 21)
+    assert pres.normal is False
+    assert pres._tables[pres.face_lattice.bottom_id].caps == (10, 10)
 
 
 def test_char_variety_rejects_nonscored():

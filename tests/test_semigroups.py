@@ -262,10 +262,12 @@ def _count_table_calls(monkeypatch):
 
 
 def test_classify_asks_table_oracle_once_per_point_and_face(monkeypatch):
-    # the scored route checks every proper face on the verification box
+    # the scored route checks every proper face on the verification box and
+    # on the negated box
     calls = _count_table_calls(monkeypatch)
     pres = ToricPresentation.build(CORPUS["dim2_scored_nonnormal"][0])
-    points = set(_box_points(pres)) | set(
+    box = _box_points(pres)
+    points = set(box) | {tuple(-x for x in a) for a in box} | set(
         _facet_box_points(pres, semigroups._normal_caps(pres)))
     faces = {f.face_id for f in pres.face_lattice.faces}
     assert calls and max(calls.values()) == 1
@@ -315,6 +317,22 @@ def test_scored_flag_refuted_when_masks_disagree_on_bottom_face(monkeypatch):
     pres = ToricPresentation.build(CORPUS["dim2_scored_nonnormal"][0])
     assert (pres.normal, pres.scored, pres.serre_s2) == (False, False, True)
     assert pres.flag_evidence["scored"] == "certified"
+    assert pres.fast_path is None
+
+
+def test_scored_fast_path_off_when_zero_facet_masks_drop_a_facet(monkeypatch):
+    # facet 0 (y >= 0) has no gaps, so only a degree failing it by sign, as
+    # on the negated box, shows that its bit is gone from every face's mask
+    classify = semigroups._classify
+
+    def dropped(pres):
+        pres._zero_facet_masks = tuple(m & ~1 for m in pres._zero_facet_masks)
+        classify(pres)
+
+    monkeypatch.setattr(semigroups, "_classify", dropped)
+    pres = ToricPresentation.build(CORPUS["dim2_scored_nonnormal"][0])
+    assert not pres.facet_semigroup(0).gaps
+    assert (pres.normal, pres.scored, pres.serre_s2) == (False, True, True)
     assert pres.fast_path is None
 
 
