@@ -25,8 +25,9 @@ semigroup translated by a face group reduces to sign checks of the support
 functions of the facets containing the face; for a scored one, to value
 checks against the facet numerical semigroups.  The normal shortcut
 follows from normality; the scored one is validated against the table
-oracle on the verification box, through the failing-facet masks that
-answer the queries, and is disabled on any disagreement.
+oracle on the verification box and its negation, through the
+failing-facet masks that answer the queries, and is disabled on any
+disagreement.
 
 On a shortcut the failing-facet mask of a degree, the bitmask of the
 facets whose value fails the route's test, is its key: a face's
@@ -40,8 +41,8 @@ memoized per mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import product
 from math import gcd
 from operator import add, le, mul
@@ -71,21 +72,23 @@ class NumericalSemigroup:
     generators: tuple
     conductor: int
     gaps: frozenset
-    # escape counts at the shifts 1 - conductor, ..., conductor - 1
-    _escapes: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        """Table the escape counts once, from the gap set.
+    @cached_property
+    def _escapes(self) -> tuple:
+        """Escape counts at the shifts 1 - conductor, ..., conductor - 1,
+        tabled on first use.
 
         x + shift leaves the semigroup either below 0, which takes the
         members under max(0, -shift), or at a gap g, which takes the member
         g - shift when there is one; the two cases are disjoint."""
-        table = []
-        for shift in range(1 - self.conductor, self.conductor):
-            below = max(0, -shift)
-            table.append(below - sum(1 for g in self.gaps if g < below)
-                         + sum(1 for g in self.gaps if g - shift in self))
-        object.__setattr__(self, "_escapes", tuple(table))
+        c = self.conductor
+        # membership of 0, ..., 2c - 1, which holds every g - shift >= 0
+        member = [x not in self.gaps for x in range(2 * c)]
+        table = [sum(member[:max(0, -shift)]) for shift in range(1 - c, c)]
+        for g in self.gaps:
+            for shift in range(1 - c, g + 1):
+                table[shift + c - 1] += member[g - shift]
+        return tuple(table)
 
     def __contains__(self, x) -> bool:
         x = int(x)
