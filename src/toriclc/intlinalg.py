@@ -24,7 +24,7 @@ Matrix = tuple
 
 
 def vec(values) -> Vector:
-    return tuple(int(v) for v in values)
+    return tuple(map(int, values))
 
 
 def mat(rows) -> Matrix:
@@ -56,7 +56,7 @@ def vscale(k: int, v: Vector) -> Vector:
 
 
 def dot(u: Vector, v: Vector) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def is_zero_vector(v: Vector) -> bool:
