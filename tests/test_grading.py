@@ -1,9 +1,9 @@
 """Facet exponents, exponent identities, graded-ring certificates."""
 
-import pytest
-
 import random
 from collections import Counter
+
+import pytest
 
 from conftest import CORPUS, presentation
 from report_digests import digest
