@@ -2,10 +2,11 @@
 
 The jobs are the 11 corpus problems under `analyze`, `sectors`, `lc` and
 `grd`, and under `lc --socle 2,4` and `lc --socle 5,10` (66 jobs), plus
-seven jobs on benchmark problems that the corpus does not reach: the
+nine jobs on benchmark problems that the corpus does not reach: the
 dim-3 scored route with nonzero conductors (pentagon_scored), the torsion
-table route (table2d_a), a 14-face sector inventory (hexagon) and `grd`
-on a scored dim-3 cone and on a normal non-simplicial one; their input
+table route (table2d_a), a 14-face sector inventory (hexagon), `grd`
+on a scored dim-3 cone and on a normal non-simplicial one, and maximal
+ideals with generators off the rays (hexagon, square5); their input
 files are only read.  Each runs in process with `--format machine` and
 the problem path relative to the repository root, which the report
 echoes.  tests/test_report_digests.py checks the digests recorded in
@@ -45,6 +46,8 @@ BENCH_JOBS = (
     ("sectors", "hexagon"),
     ("grd", "pentagon_scored"),
     ("grd", "hexagon"),
+    ("lc", "hexagon", "--maximal"),
+    ("lc", "square5", "--maximal"),
 )
 
 
