@@ -2,6 +2,11 @@
 Cech complex slices for monomial ideals, assembly of local cohomology into
 class-supported pieces with composition series, and socle probes.
 
+H^i_I(S) = H^i_{rad I}(S), and the radical of I depends only on the minimal
+faces among the generator faces (a degree lies in rad(x^g) iff its face
+contains the face of g), so the Cech complex is built on one generator per
+minimal face; the localization face of a subset of them is the join of
+their faces, read off the intersection of their zero-facet sets.
 Every degree slice of the Cech complex is determined by which localization
 supports contain the degree; those supports are face-translated semigroup
 regions, so slices are constant on sectors and in particular on the finer
@@ -111,9 +116,10 @@ def ishida_ranks(pres: ToricPresentation, filter_faces) -> tuple:
 
 @dataclass(frozen=True)
 class _CechTable:
-    """Per-ideal memo: the localization face of every generator subset (in
-    size-then-lexicographic order, () at the bottom face), the distinct
-    faces in order of first appearance, and slice ranks by present faces."""
+    """Per-ideal memo: the localization face of every subset of the minimal
+    generator faces (in size-then-lexicographic order, () at the bottom
+    face), the distinct faces in order of first appearance, and slice ranks
+    by present faces."""
 
     subset_faces: dict
     faces: tuple
@@ -124,11 +130,21 @@ def _cech_table(pres: ToricPresentation, ideal: MonomialIdeal) -> _CechTable:
     degrees = ideal.generator_degrees
     table = pres._cech_tables.get(degrees)
     if table is None:
-        subset_faces = {(): pres.face_lattice.bottom_id}
-        for size in range(1, len(degrees) + 1):
-            for subset in combinations(range(len(degrees)), size):
-                total = tuple(map(sum, zip(*(degrees[j] for j in subset))))
-                subset_faces[subset] = smallest_containing_face(pres, total)
+        lattice = pres.face_lattice
+        gen_faces = [smallest_containing_face(pres, g) for g in degrees]
+        # zero-facet sets of the minimal generator faces, in generator order
+        minimal = [
+            lattice.face(f).zero_facets for f in dict.fromkeys(gen_faces)
+            if not any(g != f and lattice.leq(g, f) for g in gen_faces)
+        ]
+        # the smallest face containing a sum of degrees is the join of their
+        # faces: the facets vanishing on the sum vanish on every summand
+        subset_faces = {(): lattice.bottom_id}
+        for size in range(1, len(minimal) + 1):
+            for subset in combinations(range(len(minimal)), size):
+                below = lattice.face(subset_faces[subset[:-1]]).zero_facets
+                subset_faces[subset] = lattice.face_id_by_zero_facets(
+                    below & minimal[subset[-1]])
         faces = tuple(dict.fromkeys(subset_faces.values()))
         table = _CechTable(subset_faces, faces, {})
         pres._cech_tables[degrees] = table
@@ -144,14 +160,15 @@ def _subset_sign(lo, hi) -> int:
 
 def cech_slice(pres: ToricPresentation, ideal: MonomialIdeal, a):
     """Present subsets and differentials of the degree-a slice of the Cech
-    complex on the ideal generators.
+    complex on one ideal generator per minimal generator face.
 
-    The subset J is present iff the degree lies in the support of the
-    localization at the sum of the J-degrees; signs follow the standard
+    Subsets index the minimal faces in order of their first generator.  The
+    subset J is present iff the degree lies in the support of the
+    localization at the join of the J-faces; signs follow the standard
     alternating convention by position."""
     table = _cech_table(pres, ideal)
     present = localization_faces(pres, a, table.faces)
-    labels = [[] for _ in range(len(ideal.generator_degrees) + 1)]
+    labels = [[] for _ in range(max(map(len, table.subset_faces)) + 1)]
     for subset, fid in table.subset_faces.items():
         if fid in present:
             labels[len(subset)].append(subset)
@@ -165,13 +182,15 @@ def cech_slice(pres: ToricPresentation, ideal: MonomialIdeal, a):
 
 def cech_ranks(pres: ToricPresentation, ideal: MonomialIdeal, a) -> tuple:
     """Cohomology ranks, by cohomological degree 0..#generators, of the
-    degree-a slice of the Cech complex."""
+    degree-a slice of the Cech complex; ranks above the number of minimal
+    generator faces are zero."""
     table = _cech_table(pres, ideal)
     present = localization_faces(pres, a, table.faces)
     ranks = table.ranks.get(present)
     if ranks is None:
         labels, diffs = cech_slice(pres, ideal, a)
         ranks = _complex_ranks([len(l) for l in labels], diffs)
+        ranks += (0,) * (len(ideal.generator_degrees) + 1 - len(ranks))
         table.ranks[present] = ranks
     return ranks
 

@@ -56,21 +56,22 @@ def primitive(v: la.Vector) -> la.Vector:
 def facet_support_functions(matrix: la.Matrix) -> tuple:
     """One primitive support function per facet, sorted by coefficients.
 
-    Raises NotFullDimensional unless the columns span the ambient space.
+    The normal of d-1 columns is their vector of signed maximal minors,
+    (-1)^i det(rows without column i); it is zero unless they are
+    independent.  Raises NotFullDimensional unless the columns span the
+    ambient space.
     """
     cols = matrix_columns(matrix)
     d = len(matrix)
     if la.rank(la.mat(cols)) < d:
         raise NotFullDimensional(f"columns span rank {la.rank(la.mat(cols))} < {d}")
     found = set()
-    for subset in combinations(range(len(cols)), d - 1):
-        rows = la.mat(cols[i] for i in subset)
-        if subset and la.rank(rows) != d - 1:
+    for subset in combinations(cols, d - 1):
+        g = primitive(tuple(
+            (-1) ** i * la.det([r[:i] + r[i + 1:] for r in subset])
+            for i in range(d)))
+        if la.is_zero_vector(g):
             continue
-        kern = la.right_kernel_basis(rows, d)
-        if len(kern) != 1:
-            continue
-        g = primitive(kern[0])
         vals = [la.dot(g, c) for c in cols]
         if all(v >= 0 for v in vals):
             found.add(g)
@@ -102,10 +103,9 @@ class FaceLattice:
     to zero, which is asserted at construction time.
     """
 
-    def __init__(self, faces, bases, signs, dim):
+    def __init__(self, faces, signs, dim):
         self.faces = faces
         self.dim = dim
-        self._bases = bases
         self._signs = signs
         self._by_zero_facets = {f.zero_facets: f.face_id for f in faces}
         bottoms = [f for f in faces if f.dim == 0]
@@ -204,7 +204,7 @@ def build_face_lattice(matrix: la.Matrix, supports) -> FaceLattice:
                 raise AssertionError(f"degenerate incidence {low.face_id} < {high.face_id}")
             signs[(low.face_id, high.face_id)] = 1 if det > 0 else -1
 
-    lattice = FaceLattice(faces, bases, signs, d)
+    lattice = FaceLattice(faces, signs, d)
     _assert_coboundary_squares_to_zero(lattice)
     return lattice
 

@@ -300,20 +300,6 @@ def unimodular_inverse(m: Matrix) -> Matrix:
     return u
 
 
-def right_kernel_basis(m: Matrix, width: int) -> Matrix:
-    """Primitive basis vectors (as rows) of {x : m @ x == 0}.
-
-    `width` is the length of x; it must be passed explicitly so that an
-    empty constraint list still has a well-defined kernel.
-    """
-    if not m:
-        return identity(width)
-    d, _, v = smith_normal_form(m)
-    r = sum(1 for i in range(min(len(d), width)) if d[i][i] != 0)
-    cols = transpose(v)
-    return tuple(cols[j] for j in range(r, width))
-
-
 @dataclass(frozen=True)
 class Sublattice:
     """A sublattice of Z^d stored by a canonical (Hermite-form) basis."""

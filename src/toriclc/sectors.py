@@ -219,9 +219,6 @@ class ClassPoset:
     strictly_below: tuple  # pairs (low_id, high_id)
     linear_extension: tuple
 
-    def pairs(self) -> frozenset:
-        return frozenset(self.strictly_below)
-
 
 def class_poset(classes) -> ClassPoset:
     below = []

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from conftest import CORPUS, enumeration, presentation, reference_cech_ranks
+from conftest import CORPUS, REPO, enumeration, presentation, reference_cech_ranks
 
 from toriclc import (
     GeneratorNotInSemigroup,
@@ -19,10 +19,12 @@ from toriclc import (
     localization_faces,
     module_support,
     sector_faces,
+    smallest_containing_face,
     socle_probe,
 )
 from toriclc import cohomology, semigroups
 from toriclc.cohomology import cech_slice, ishida_slice
+from toriclc.problems import parse_problem_file
 
 
 def all_faces(pres):
@@ -183,10 +185,10 @@ def test_full_group_length_equals_class_count():
         pres = presentation(name)
         enum = enumeration(name)
         ideal = MonomialIdeal.maximal_ideal(pres)
-        t = len(ideal.generator_degrees)
         for cls in enum.classes:
             labels, _ = cech_slice(pres, ideal, cls.representative)
-            assert labels[t] == [tuple(range(t))]
+            top = len(labels) - 1
+            assert labels[top] == [tuple(range(top))]
 
 
 def test_socle_polynomial_ring():
@@ -328,17 +330,76 @@ def test_socle_probe_evaluates_support_once_per_degree(monkeypatch):
             assert len(asked) < 2 ** len(pres.supports)
 
 
+def _bench_problem(name):
+    return ToricPresentation.build(
+        parse_problem_file(REPO / "perfbench" / "problems" / f"{name}.toric").matrix_rows)
+
+
+def _problem_and_ideal(name, ideal_kind):
+    """A corpus problem with its maximal or file ideal, or a benchmark
+    problem with its maximal ideal."""
+    if ideal_kind == "bench":
+        pres = _bench_problem(name)
+        return pres, MonomialIdeal.maximal_ideal(pres)
+    pres = presentation(name)
+    return pres, (MonomialIdeal.maximal_ideal(pres) if ideal_kind == "maximal"
+                  else MonomialIdeal.from_degrees(pres, CORPUS[name][1]))
+
+
 @pytest.mark.parametrize("name,ideal_kind", [
     *((name, "maximal") for name in sorted(CORPUS)),
-    ("dim2_normal", "file"),
-    ("dim3_hartshorne", "file"),
+    *((name, "file") for name in sorted(CORPUS) if CORPUS[name][1] != "maximal"),
+    ("table2d_a", "bench"),
+    ("pentagon_scored", "bench"),
 ])
 def test_cech_ranks_match_per_subset_reference(name, ideal_kind):
-    pres = presentation(name)
-    ideal = (MonomialIdeal.maximal_ideal(pres) if ideal_kind == "maximal"
-             else MonomialIdeal.from_degrees(pres, CORPUS[name][1]))
+    # the reference builds the complex on every generator, the table on
+    # one generator per minimal face
+    pres, ideal = _problem_and_ideal(name, ideal_kind)
     for a in product(range(-3, 4), repeat=pres.dim):
         assert cech_ranks(pres, ideal, a) == reference_cech_ranks(pres, ideal, a), a
+
+
+def _minimal_generator_faces(pres, ideal):
+    lattice = pres.face_lattice
+    faces = {smallest_containing_face(pres, g) for g in ideal.generator_degrees}
+    return {f for f in faces if not any(g != f and lattice.leq(g, f) for g in faces)}
+
+
+@pytest.mark.parametrize("name,ideal_kind", [
+    *((name, "maximal") for name in sorted(CORPUS)),
+    *((name, "file") for name in sorted(CORPUS) if CORPUS[name][1] != "maximal"),
+    ("hexagon", "bench"),
+    ("square5", "bench"),
+])
+def test_cech_table_subsets_are_sets_of_minimal_faces(name, ideal_kind):
+    pres, ideal = _problem_and_ideal(name, ideal_kind)
+    minimal = _minimal_generator_faces(pres, ideal)
+    table = cohomology._cech_table(pres, ideal)
+    assert len(table.subset_faces) == 2 ** len(minimal)
+    assert {table.subset_faces[(j,)] for j in range(len(minimal))} == minimal
+
+
+def test_cech_table_asks_membership_once_per_generator(monkeypatch):
+    calls = []
+    member = semigroups.in_semigroup
+    monkeypatch.setattr(
+        semigroups, "in_semigroup",
+        lambda p, a: calls.append(tuple(a)) or member(p, a))
+    pres = ToricPresentation.build(CORPUS["dim2_nonscored"][0])
+    ideal = MonomialIdeal.maximal_ideal(pres)
+    calls.clear()
+    table = cohomology._cech_table(pres, ideal)
+    assert sorted(calls) == sorted(ideal.generator_degrees)
+    # five generators, two of them on the rays of a two-dimensional cone
+    assert len(ideal.generator_degrees) == 5
+    assert len(table.subset_faces) == 4
+    for name in ("hexagon", "square5"):
+        pres = _bench_problem(name)
+        ideal = MonomialIdeal.maximal_ideal(pres)
+        calls.clear()
+        cohomology._cech_table(pres, ideal)
+        assert len(calls) <= len(ideal.generator_degrees)
 
 
 def test_cech_rank_memo_bounded_by_faces(pres_hartshorne):

@@ -1,6 +1,12 @@
 """Facet enumeration, face lattices, incidence signs, pointedness."""
 
+from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS
 from toriclc import intlinalg as la
@@ -44,6 +50,60 @@ def test_facets_nonnegative_on_columns():
         assert all(v >= 0 for v in vals)
         zero_cols = [c for c, v in zip(cols, vals) if v == 0]
         assert la.rank(la.mat(zero_cols)) == len(rows) - 1
+
+
+def _kernel_line(rows, d):
+    """Primitive integer spanning vector of {x : rows @ x == 0}, or None
+    unless the kernel is a line; Fraction row reduction."""
+    reduced = [[Fraction(e) for e in r] for r in rows]
+    pivots = []
+    for c in range(d):
+        k = next((i for i in range(len(pivots), len(reduced)) if reduced[i][c]), None)
+        if k is None:
+            continue
+        row = len(pivots)
+        reduced[row], reduced[k] = reduced[k], reduced[row]
+        reduced[row] = [e / reduced[row][c] for e in reduced[row]]
+        for i, other in enumerate(reduced):
+            if i != row and other[c]:
+                reduced[i] = [e - other[c] * p for e, p in zip(other, reduced[row])]
+        pivots.append(c)
+    free = [c for c in range(d) if c not in pivots]
+    if len(free) != 1:
+        return None
+    x = [Fraction(0)] * d
+    x[free[0]] = Fraction(1)
+    for row, c in enumerate(pivots):
+        x[c] = -reduced[row][free[0]]
+    scale = lcm(*(e.denominator for e in x))
+    ints = [int(e * scale) for e in x]
+    g = gcd(*ints)
+    return tuple(e // g for e in ints)
+
+
+def _kernel_support_functions(rows):
+    """Facet normals from the kernel of every (d-1)-subset of columns."""
+    cols = la.transpose(la.mat(rows))
+    found = set()
+    for subset in combinations(cols, len(rows) - 1):
+        g = _kernel_line(subset, len(rows))
+        if g is None:
+            continue
+        vals = [la.dot(g, c) for c in cols]
+        if all(v >= 0 for v in vals):
+            found.add(g)
+        elif all(v <= 0 for v in vals):
+            found.add(la.vneg(g))
+    return sorted(found)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=7,
+).map(lambda cols: la.transpose(la.mat(cols)))))
+def test_facet_minors_match_kernel_reference(rows):
+    assume(la.rank(la.mat(la.transpose(rows))) == len(rows))
+    assert [s.coefficients for s in facets_of(rows)] == _kernel_support_functions(rows)
 
 
 def test_facets_not_full_dimensional():

@@ -339,6 +339,15 @@ def test_shared_exponent_map_checks_do_not_depend_on_call_order(name):
     assert char_first.verified and origin_second.verified
 
 
+def test_exponent_map_check_rejects_a_constant_map(monkeypatch):
+    # a constant map is additive at zero but sends distinct degrees to one
+    # exponent vector
+    monkeypatch.setattr(grading, "_exponents_at",
+                        lambda semigroups, values: (0,) * len(semigroups))
+    checks = grading._exponent_map_checks(ToricPresentation.build(CORPUS["dim2_normal"][0]))
+    assert checks == (("exponent_map_additive", True), ("exponent_map_injective", False))
+
+
 def test_non_normal_build_tables_only_the_inner_box():
     # the graded ring of dim1_4_6_9 has a hole inside its (10, 10)
     # verification box, so its normality box (21, 21) is never tabled
