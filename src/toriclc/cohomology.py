@@ -7,6 +7,7 @@ faces among the generator faces (a degree lies in rad(x^g) iff its face
 contains the face of g), so the Cech complex is built on one generator per
 minimal face; the localization face of a subset of them is the join of
 their faces, read off the intersection of their zero-facet sets.
+
 Every degree slice of the Cech complex is determined by which localization
 supports contain the degree; those supports are face-translated semigroup
 regions, so slices are constant on sectors and in particular on the finer
