@@ -2,12 +2,13 @@
 
 The jobs are the 11 corpus problems under `analyze`, `sectors`, `lc` and
 `grd`, and under `lc --socle 2,4` and `lc --socle 5,10` (66 jobs), plus
-nine jobs on benchmark problems that the corpus does not reach: the
+ten jobs on benchmark problems that the corpus does not reach: the
 dim-3 scored route with nonzero conductors (pentagon_scored), the torsion
 table route (table2d_a), a 14-face sector inventory (hexagon), `grd`
-on a scored dim-3 cone and on a normal non-simplicial one, and maximal
-ideals with generators off the rays (hexagon, square5); their input
-files are only read.  Each runs in process with `--format machine` and
+on a scored dim-3 cone and on a normal non-simplicial one, maximal
+ideals with generators off the rays (hexagon, square5) and the maximal
+ideal of a dim-3 cone with eight minimal generator faces (cube); their
+input files are only read.  Each runs in process with `--format machine` and
 the problem path relative to the repository root, which the report
 echoes.  tests/test_report_digests.py checks the digests recorded in
 tests/data/corpus_report_digests.json; after a deliberate change to the
@@ -48,6 +49,7 @@ BENCH_JOBS = (
     ("grd", "hexagon"),
     ("lc", "hexagon", "--maximal"),
     ("lc", "square5", "--maximal"),
+    ("lc", "cube", "--maximal"),
 )
 
 
