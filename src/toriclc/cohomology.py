@@ -26,7 +26,7 @@ additional samples, aborting on any disagreement instead of averaging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import product
 
 from . import intlinalg as la
 from .errors import ClassRankMismatch, GeneratorNotInSemigroup
@@ -117,12 +117,10 @@ def ishida_ranks(pres: ToricPresentation, filter_faces) -> tuple:
 
 @dataclass(frozen=True)
 class _CechTable:
-    """Per-ideal memo: the localization face of every subset of the minimal
-    generator faces (in size-then-lexicographic order, () at the bottom
-    face), the distinct faces in order of first appearance, and slice ranks
-    by present faces."""
+    """Per-ideal memo: L, the joins of every subset of the minimal generator
+    faces (the bottom face first, then by dimension), and slice ranks by
+    present faces of L."""
 
-    subset_faces: dict
     faces: tuple
     ranks: dict
 
@@ -133,66 +131,77 @@ def _cech_table(pres: ToricPresentation, ideal: MonomialIdeal) -> _CechTable:
     if table is None:
         lattice = pres.face_lattice
         gen_faces = [smallest_containing_face(pres, g) for g in degrees]
-        # zero-facet sets of the minimal generator faces, in generator order
-        minimal = [
-            lattice.face(f).zero_facets for f in dict.fromkeys(gen_faces)
-            if not any(g != f and lattice.leq(g, f) for g in gen_faces)
-        ]
         # the smallest face containing a sum of degrees is the join of their
         # faces: the facets vanishing on the sum vanish on every summand
-        subset_faces = {(): lattice.bottom_id}
-        for size in range(1, len(minimal) + 1):
-            for subset in combinations(range(len(minimal)), size):
-                below = lattice.face(subset_faces[subset[:-1]]).zero_facets
-                subset_faces[subset] = lattice.face_id_by_zero_facets(
-                    below & minimal[subset[-1]])
-        faces = tuple(dict.fromkeys(subset_faces.values()))
-        table = _CechTable(subset_faces, faces, {})
+        joins = {lattice.bottom_id}
+        for f in dict.fromkeys(gen_faces):
+            if not any(g != f and lattice.leq(g, f) for g in gen_faces):
+                zero = lattice.face(f).zero_facets
+                joins |= {lattice.face_id_by_zero_facets(
+                    lattice.face(j).zero_facets & zero) for j in joins}
+        faces = tuple(sorted(joins, key=lambda f: (lattice.face(f).dim, f)))
+        table = _CechTable(faces, {})
         pres._cech_tables[degrees] = table
     return table
 
 
 def _subset_sign(lo, hi) -> int:
-    """(-1)^position in hi of the one index missing from lo; 0 unless lo is
-    a subset of hi (|hi| = |lo| + 1, so exactly one index is missing)."""
+    """(-1)^position in hi of the one element missing from lo; 0 unless lo
+    is a subset of hi (|hi| = |lo| + 1, so exactly one element is missing)."""
     missing = [pos for pos, j in enumerate(hi) if j not in lo]
     return (-1) ** missing[0] if len(missing) == 1 else 0
 
 
 def cech_slice(pres: ToricPresentation, ideal: MonomialIdeal, a):
-    """Present subsets and differentials of the degree-a slice of the Cech
-    complex on one ideal generator per minimal generator face.
+    """Term labels and differentials of a complex with the cohomology of the
+    degree-a slice of the Cech complex on one ideal generator per minimal
+    generator face.
 
-    Subsets index the minimal faces in order of their first generator.  The
-    subset J is present iff the degree lies in the support of the
-    localization at the join of the J-faces; signs follow the standard
-    alternating convention by position."""
+    The zero complex when the degree lies in the semigroup (the bottom face
+    of L is present).  Otherwise the labels are the chains of P_a, the
+    absent elements of L other than the bottom, with a chain of k faces in
+    cohomological degree k + 1: a subset of generators is present iff its
+    join is, so H^i of the slice is the reduced cohomology in degree i - 2
+    of the complex of subsets with absent join, which by the crosscut
+    theorem (Bjorner, Topological methods, Thm. 10.8) is homotopy equivalent
+    to the order complex of P_a.  Chains list their faces by dimension and
+    signs follow the alternating convention by position."""
     table = _cech_table(pres, ideal)
+    lattice = pres.face_lattice
     present = localization_faces(pres, a, table.faces)
-    labels = [[] for _ in range(max(map(len, table.subset_faces)) + 1)]
-    for subset, fid in table.subset_faces.items():
-        if fid in present:
-            labels[len(subset)].append(subset)
-        # support only grows along inclusions of subsets
-        elif subset and table.subset_faces[subset[:-1]] in present:
-            raise AssertionError(
-                f"localization support shrank from {subset[:-1]} to {subset}"
-            )
+    for f, g in product(present, table.faces):
+        # support only grows along inclusions of faces
+        if g not in present and lattice.leq(f, g):
+            raise AssertionError(f"localization support shrank from face {f} to face {g}")
+    if table.faces[0] in present:
+        return [], []
+    absent = [f for f in table.faces[1:] if f not in present]
+    labels = [[], [()]]
+    while labels[-1]:
+        labels.append([c + (f,) for c in labels[-1] for f in absent
+                       if not c or (f != c[-1] and lattice.leq(c[-1], f))])
+    labels.pop()
     return labels, _coboundaries(labels, _subset_sign)
 
 
 def cech_ranks(pres: ToricPresentation, ideal: MonomialIdeal, a) -> tuple:
     """Cohomology ranks, by cohomological degree 0..#generators, of the
-    degree-a slice of the Cech complex; ranks above the number of minimal
-    generator faces are zero."""
+    degree-a slice of the Cech complex, memoized per set of present faces.
+
+    All are zero when the degree lies in the semigroup.  A chain of m
+    faces, m the number of minimal generator faces, ends at the top of L,
+    so a term in degree m + 1 means the top is absent; then P_a has a
+    maximum and is contractible, and the ranks there are zero as well."""
     table = _cech_table(pres, ideal)
     present = localization_faces(pres, a, table.faces)
     ranks = table.ranks.get(present)
     if ranks is None:
         labels, diffs = cech_slice(pres, ideal, a)
         ranks = _complex_ranks([len(l) for l in labels], diffs)
-        ranks += (0,) * (len(ideal.generator_degrees) + 1 - len(ranks))
-        table.ranks[present] = ranks
+        t = len(ideal.generator_degrees)
+        if any(ranks[t + 1:]):
+            raise AssertionError(f"Cech ranks {ranks} above degree {t} at {a}")
+        ranks = table.ranks[present] = (ranks + (0,) * (t + 1))[:t + 1]
     return ranks
 
 

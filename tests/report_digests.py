@@ -2,15 +2,15 @@
 
 The jobs are the 11 corpus problems under `analyze`, `sectors`, `lc` and
 `grd`, and under `lc --socle 2,4` and `lc --socle 5,10` (66 jobs), plus
-ten jobs on benchmark problems that the corpus does not reach: the
+eleven jobs on benchmark problems that the corpus does not reach: the
 dim-3 scored route with nonzero conductors (pentagon_scored), the torsion
 table route (table2d_a), a 14-face sector inventory (hexagon), `grd`
 on a scored dim-3 cone and on a normal non-simplicial one, maximal
 ideals with generators off the rays (hexagon, square5) and the maximal
-ideal of a dim-3 cone with eight minimal generator faces (cube); their
-input files are only read.  Each runs in process with `--format machine` and
-the problem path relative to the repository root, which the report
-echoes.  tests/test_report_digests.py checks the digests recorded in
+ideals of dim-3 cones with 8 and 12 minimal generator faces (cube,
+disk16); their input files are only read.  Each runs in process with
+`--format machine` and the problem path relative to the repository root,
+which the report echoes.  tests/test_report_digests.py checks the digests recorded in
 tests/data/corpus_report_digests.json; after a deliberate change to the
 reports, rewrite that file from the root of a checkout with
 
@@ -50,6 +50,7 @@ BENCH_JOBS = (
     ("lc", "hexagon", "--maximal"),
     ("lc", "square5", "--maximal"),
     ("lc", "cube", "--maximal"),
+    ("lc", "disk16", "--maximal"),
 )
 
 
@@ -63,9 +64,9 @@ def jobs() -> list:
     ]
 
 
-def digest(argv) -> tuple:
-    """(exit code, sha256 of the machine report) of one in-process run
-    from the repository root."""
+def report(argv) -> tuple:
+    """(exit code, machine report) of one in-process run from the
+    repository root."""
     from toriclc.cli import run
 
     out = io.StringIO()
@@ -76,7 +77,14 @@ def digest(argv) -> tuple:
             code = run([*argv, "--format", "machine"])
     finally:
         os.chdir(cwd)
-    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return code, out.getvalue()
+
+
+def digest(argv) -> tuple:
+    """(exit code, sha256 of the machine report) of one in-process run
+    from the repository root."""
+    code, text = report(argv)
+    return code, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def main() -> int:

@@ -1,19 +1,23 @@
 """Complex slices, ranks, module assembly, socle probes."""
 
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS, REPO, enumeration, presentation, reference_cech_ranks
 
 from toriclc import (
     GeneratorNotInSemigroup,
     MonomialIdeal,
+    ToricError,
     ToricPresentation,
     assemble_module,
     cech_ranks,
     class_poset,
+    in_semigroup,
     ishida_ranks,
     local_cohomology_max,
     localization_faces,
@@ -23,6 +27,7 @@ from toriclc import (
     socle_probe,
 )
 from toriclc import cohomology, semigroups
+from toriclc import intlinalg as la
 from toriclc.cohomology import cech_slice, ishida_slice
 from toriclc.problems import parse_problem_file
 
@@ -153,12 +158,15 @@ def test_assemble_dim1_localization():
     assert enum.by_id(cid).sector == frozenset({pres.face_lattice.top_id})
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", [*sorted(CORPUS), "hexagon", "square5", "cube", "disk16"])
 def test_ishida_equals_cech_for_maximal_ideal(name):
-    # dual-route check on a small box; acceptance runs the full-size boxes
-    pres = presentation(name)
+    # dual-route check on a small box, radius 1 on the benchmark problems;
+    # acceptance runs the full-size boxes on the corpus
+    if name in CORPUS:
+        pres, radius = presentation(name), 2
+    else:
+        pres, radius = _bench_problem(name), 1
     ideal = MonomialIdeal.maximal_ideal(pres)
-    radius = 2
     for a in product(range(-radius, radius + 1), repeat=pres.dim):
         icoh = ishida_ranks(pres, sector_faces(pres, a))
         ccoh = cech_ranks(pres, ideal, a)
@@ -180,15 +188,19 @@ def test_cech_term_support_class_constant(pres_2dim):
 
 
 def test_full_group_length_equals_class_count():
-    # the top localization supports every class exactly once
+    # the top localization supports every class exactly once: a class in
+    # the semigroup has the zero slice, and every other class holds the
+    # empty chain, once, in cohomological degree 1
     for name in ("dim1_cusp", "dim2_normal", "dim2_nonscored"):
         pres = presentation(name)
         enum = enumeration(name)
         ideal = MonomialIdeal.maximal_ideal(pres)
         for cls in enum.classes:
             labels, _ = cech_slice(pres, ideal, cls.representative)
-            top = len(labels) - 1
-            assert labels[top] == [tuple(range(top))]
+            if in_semigroup(pres, cls.representative):
+                assert labels == []
+            else:
+                assert labels[:2] == [[], [()]]
 
 
 def test_socle_polynomial_ring():
@@ -373,11 +385,23 @@ def _minimal_generator_faces(pres, ideal):
     ("square5", "bench"),
 ])
 def test_cech_table_subsets_are_sets_of_minimal_faces(name, ideal_kind):
+    # the table's faces are the joins of all subsets of the minimal faces,
+    # each join the smallest face above the subset, found by brute force
     pres, ideal = _problem_and_ideal(name, ideal_kind)
-    minimal = _minimal_generator_faces(pres, ideal)
+    lattice = pres.face_lattice
+    minimal = sorted(_minimal_generator_faces(pres, ideal))
+    joins = {
+        min((f.face_id for f in lattice.faces
+             if all(lattice.leq(m, f.face_id) for m in subset)),
+            key=lambda f: lattice.face(f).dim)
+        for size in range(len(minimal) + 1)
+        for subset in combinations(minimal, size)
+    }
     table = cohomology._cech_table(pres, ideal)
-    assert len(table.subset_faces) == 2 ** len(minimal)
-    assert {table.subset_faces[(j,)] for j in range(len(minimal))} == minimal
+    assert table.faces[0] == lattice.bottom_id
+    assert sorted(table.faces) == sorted(joins)
+    dims = [lattice.face(f).dim for f in table.faces]
+    assert dims == sorted(dims)
 
 
 def test_cech_table_asks_membership_once_per_generator(monkeypatch):
@@ -393,7 +417,7 @@ def test_cech_table_asks_membership_once_per_generator(monkeypatch):
     assert sorted(calls) == sorted(ideal.generator_degrees)
     # five generators, two of them on the rays of a two-dimensional cone
     assert len(ideal.generator_degrees) == 5
-    assert len(table.subset_faces) == 4
+    assert len(table.faces) == 4
     for name in ("hexagon", "square5"):
         pres = _bench_problem(name)
         ideal = MonomialIdeal.maximal_ideal(pres)
@@ -423,8 +447,7 @@ def test_cech_ranks_hit_queries_faces_and_builds_nothing(monkeypatch):
     assert len(slices) == 1
     table = pres._cech_tables[ideal.generator_degrees]
     assert table.faces[0] == pres.face_lattice.bottom_id
-    first = tuple(dict.fromkeys(table.subset_faces.values()))
-    assert table.faces == first
+    first = table.faces
     queries.clear()
     # (-2, -2) lies in the same localizations as (-1, -1)
     assert cech_ranks(pres, ideal, (-2, -2)) == miss
@@ -459,3 +482,41 @@ def test_socle_probe_computes_failing_facets_once_per_degree(monkeypatch):
     # one slice per new memo entry; the entry for (0, 0, 0) was already there
     table = pres._cech_tables[ideal.generator_degrees]
     assert len(slices) == len(table.ranks) - 1
+
+
+# most random matrices do not generate the integer lattice
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_cech_ranks_match_reference_on_random_ideals(data):
+    # random plane semigroups, most of them not normal, and ideals on up to
+    # four generators, which may share minimal faces or not lie on rays
+    columns = data.draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                                 min_size=2, max_size=4), label="columns")
+    try:
+        pres = ToricPresentation.build(la.transpose(la.mat(columns)))
+    except ToricError:
+        assume(False)
+    assume(pres.pointed)
+    nonzero = [c for c in pres.columns if any(c)]
+    # mostly zero coefficients, so that generators often lie on rays
+    coefficients = st.lists(st.sampled_from((0, 0, 0, 1, 2)), min_size=len(nonzero),
+                            max_size=len(nonzero)).filter(any)
+    ideal = MonomialIdeal.from_degrees(pres, [
+        tuple(sum(k * c[i] for k, c in zip(coeffs, nonzero)) for i in range(2))
+        for coeffs in data.draw(st.lists(coefficients, min_size=1, max_size=4),
+                                label="generators")
+    ])
+    for a in product(range(-3, 4), repeat=2):
+        assert cech_ranks(pres, ideal, a) == reference_cech_ranks(pres, ideal, a), a
+
+
+def test_cech_slice_rejects_support_not_closed_upward(monkeypatch):
+    # the bottom face present without the faces above it: a raise, not an
+    # assert, so the check also runs under python -O
+    pres = ToricPresentation.build(CORPUS["dim2_normal"][0])
+    ideal = MonomialIdeal.maximal_ideal(pres)
+    monkeypatch.setattr(
+        cohomology, "localization_faces",
+        lambda p, a, faces: frozenset((p.face_lattice.bottom_id,)))
+    with pytest.raises(AssertionError, match="support shrank"):
+        cech_ranks(pres, ideal, (-1, -1))
