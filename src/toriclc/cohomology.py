@@ -6,14 +6,16 @@ H^i_I(S) = H^i_{rad I}(S), and the radical of I depends only on the minimal
 faces among the generator faces (a degree lies in rad(x^g) iff its face
 contains the face of g), so the Cech complex is built on one generator per
 minimal face; the localization face of a subset of them is the join of
-their faces, read off the intersection of their zero-facet sets.
+their faces, read off the intersection of their zero-facet sets.  A slice
+is computed on the chains of absent joins, never on the subsets: the
+joins, L, are no more than the faces (crosscut theorem; cech_slice).
 
 Every degree slice of the Cech complex is determined by which localization
 supports contain the degree; those supports are face-translated semigroup
 regions, so slices are constant on sectors and in particular on the finer
 signature classes.  Slice ranks are therefore memoized once per ideal,
-keyed by the set of localization faces whose support contains the degree,
-so the memo holds at most 2^#faces entries however many degrees are asked.
+keyed by the set of elements of L whose support contains the degree, so
+the memo holds at most 2^#faces entries however many degrees are asked.
 That key comes from one localization_faces call per degree, which on the
 fast paths reads the faces off the degree's failing-facet mask, memoized
 per mask (semigroups.line_keys).  A socle probe walks its box once for all
@@ -117,9 +119,13 @@ def ishida_ranks(pres: ToricPresentation, filter_faces) -> tuple:
 
 @dataclass(frozen=True)
 class _CechTable:
-    """Per-ideal memo: L, the joins of every subset of the minimal generator
-    faces (the bottom face first, then by dimension), and slice ranks by
-    present faces of L."""
+    """Per-ideal memo: L, the joins of the subsets of the minimal generator
+    faces (the bottom face, the join of none, first; then by dimension), and
+    slice ranks keyed by the elements of L present at a degree.  With P_a
+    the absent elements of L other than the bottom, the degree-a slice has
+    H^i = reduced H^(i-2) of the order complex of P_a; it is zero when the
+    bottom is present (a in the semigroup) and when the top of L is absent
+    (P_a has a maximum)."""
 
     faces: tuple
     ranks: dict
@@ -130,18 +136,17 @@ def _cech_table(pres: ToricPresentation, ideal: MonomialIdeal) -> _CechTable:
     table = pres._cech_tables.get(degrees)
     if table is None:
         lattice = pres.face_lattice
-        gen_faces = [smallest_containing_face(pres, g) for g in degrees]
+        gen_faces = {smallest_containing_face(pres, g) for g in degrees}
         # the smallest face containing a sum of degrees is the join of their
         # faces: the facets vanishing on the sum vanish on every summand
         joins = {lattice.bottom_id}
-        for f in dict.fromkeys(gen_faces):
+        for f in gen_faces:
             if not any(g != f and lattice.leq(g, f) for g in gen_faces):
                 zero = lattice.face(f).zero_facets
                 joins |= {lattice.face_id_by_zero_facets(
                     lattice.face(j).zero_facets & zero) for j in joins}
         faces = tuple(sorted(joins, key=lambda f: (lattice.face(f).dim, f)))
-        table = _CechTable(faces, {})
-        pres._cech_tables[degrees] = table
+        table = pres._cech_tables[degrees] = _CechTable(faces, {})
     return table
 
 
@@ -154,44 +159,38 @@ def _subset_sign(lo, hi) -> int:
 
 def cech_slice(pres: ToricPresentation, ideal: MonomialIdeal, a):
     """Term labels and differentials of a complex with the cohomology of the
-    degree-a slice of the Cech complex on one ideal generator per minimal
-    generator face.
+    degree-a slice of the Cech complex on one generator per minimal face:
+    the zero complex when a is in the semigroup, else the chains of P_a, a
+    chain of k faces in cohomological degree k + 1, listed by dimension,
+    with signs alternating by position.
 
-    The zero complex when the degree lies in the semigroup (the bottom face
-    of L is present).  Otherwise the labels are the chains of P_a, the
-    absent elements of L other than the bottom, with a chain of k faces in
-    cohomological degree k + 1: a subset of generators is present iff its
-    join is, so H^i of the slice is the reduced cohomology in degree i - 2
-    of the complex of subsets with absent join, which by the crosscut
-    theorem (Bjorner, Topological methods, Thm. 10.8) is homotopy equivalent
-    to the order complex of P_a.  Chains list their faces by dimension and
-    signs follow the alternating convention by position."""
+    A subset of generators is present iff its join is, and present subsets
+    are closed upward, so H^i of the slice is the reduced H^(i-2) of the
+    complex of subsets with absent join.  When the bottom is absent, that
+    is the crosscut complex of a lattice with proper part P_a, homotopy
+    equivalent to the order complex of P_a (Bjorner, "Topological methods",
+    Handbook of Combinatorics, Thm. 10.8)."""
     table = _cech_table(pres, ideal)
-    lattice = pres.face_lattice
+    leq = pres.face_lattice.leq
     present = localization_faces(pres, a, table.faces)
-    for f, g in product(present, table.faces):
-        # support only grows along inclusions of faces
-        if g not in present and lattice.leq(f, g):
-            raise AssertionError(f"localization support shrank from face {f} to face {g}")
+    if any(g not in present and leq(f, g) for f, g in product(present, table.faces)):
+        raise AssertionError(f"localization support shrank at {a}: {sorted(present)}")
     if table.faces[0] in present:
         return [], []
     absent = [f for f in table.faces[1:] if f not in present]
     labels = [[], [()]]
     while labels[-1]:
         labels.append([c + (f,) for c in labels[-1] for f in absent
-                       if not c or (f != c[-1] and lattice.leq(c[-1], f))])
-    labels.pop()
-    return labels, _coboundaries(labels, _subset_sign)
+                       if not c or (f != c[-1] and leq(c[-1], f))])
+    return labels[:-1], _coboundaries(labels[:-1], _subset_sign)
 
 
 def cech_ranks(pres: ToricPresentation, ideal: MonomialIdeal, a) -> tuple:
     """Cohomology ranks, by cohomological degree 0..#generators, of the
     degree-a slice of the Cech complex, memoized per set of present faces.
-
-    All are zero when the degree lies in the semigroup.  A chain of m
-    faces, m the number of minimal generator faces, ends at the top of L,
-    so a term in degree m + 1 means the top is absent; then P_a has a
-    maximum and is contractible, and the ranks there are zero as well."""
+    A chain of m faces, m the number of minimal faces, ends at the top of
+    L, so a term in degree m + 1 means the top is absent and P_a is
+    contractible; a nonzero rank above #generators raises."""
     table = _cech_table(pres, ideal)
     present = localization_faces(pres, a, table.faces)
     ranks = table.ranks.get(present)
@@ -219,16 +218,10 @@ class GradedModuleDescription:
     series_by_degree: tuple   # (cohomological_degree, ((class_id, multiplicity), ...))
 
     def length_of(self, degree: int) -> int:
-        for i, lng in self.lengths_by_degree:
-            if i == degree:
-                return lng
-        return 0
+        return dict(self.lengths_by_degree).get(degree, 0)
 
     def series_of(self, degree: int) -> tuple:
-        for i, series in self.series_by_degree:
-            if i == degree:
-                return series
-        return ()
+        return dict(self.series_by_degree).get(degree, ())
 
 
 def assemble_module(pres: ToricPresentation, ideal: MonomialIdeal,
@@ -295,12 +288,7 @@ def local_cohomology_max(pres: ToricPresentation,
     """Sector-by-sector ranks of the face complex; the support of the top
     cohomological degree is exactly the sectors containing only the full
     cone among their faces."""
-    sectors = []
-    seen = set()
-    for cls in enumeration.classes:
-        if cls.sector not in seen:
-            seen.add(cls.sector)
-            sectors.append(cls.sector)
+    sectors = dict.fromkeys(cls.sector for cls in enumeration.classes)
     pieces = []
     total = 0
     for faces in sectors:
