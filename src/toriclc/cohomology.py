@@ -6,9 +6,8 @@ H^i_I(S) = H^i_{rad I}(S), and the radical of I depends only on the minimal
 faces among the generator faces (a degree lies in rad(x^g) iff its face
 contains the face of g), so the Cech complex is built on one generator per
 minimal face; the localization face of a subset of them is the join of
-their faces, read off the intersection of their zero-facet sets.  A slice
-is computed on the chains of absent joins, never on the subsets: the
-joins, L, are no more than the faces (crosscut theorem; cech_slice).
+their faces, read off the intersection of their zero-facet sets.  Slices
+are built on chains of absent joins, not on subsets (cech_slice).
 
 Every degree slice of the Cech complex is determined by which localization
 supports contain the degree; those supports are face-translated semigroup
@@ -119,13 +118,10 @@ def ishida_ranks(pres: ToricPresentation, filter_faces) -> tuple:
 
 @dataclass(frozen=True)
 class _CechTable:
-    """Per-ideal memo: L, the joins of the subsets of the minimal generator
-    faces (the bottom face, the join of none, first; then by dimension), and
-    slice ranks keyed by the elements of L present at a degree.  With P_a
-    the absent elements of L other than the bottom, the degree-a slice has
-    H^i = reduced H^(i-2) of the order complex of P_a; it is zero when the
-    bottom is present (a in the semigroup) and when the top of L is absent
-    (P_a has a maximum)."""
+    """Per-ideal memo: L, the joins of subsets of the minimal generator faces
+    (bottom first, then by dimension), and slice ranks keyed by the present
+    elements of L.  H^i of a slice is reduced H^(i-2) of the order complex
+    of P_a, the absent elements but the bottom, or 0 if the bottom is present."""
 
     faces: tuple
     ranks: dict
@@ -151,25 +147,22 @@ def _cech_table(pres: ToricPresentation, ideal: MonomialIdeal) -> _CechTable:
 
 
 def _subset_sign(lo, hi) -> int:
-    """(-1)^position in hi of the one element missing from lo; 0 unless lo
-    is a subset of hi (|hi| = |lo| + 1, so exactly one element is missing)."""
+    """(-1)^position in hi of its one element missing from lo; 0 unless lo < hi."""
     missing = [pos for pos, j in enumerate(hi) if j not in lo]
     return (-1) ** missing[0] if len(missing) == 1 else 0
 
 
 def cech_slice(pres: ToricPresentation, ideal: MonomialIdeal, a):
     """Term labels and differentials of a complex with the cohomology of the
-    degree-a slice of the Cech complex on one generator per minimal face:
-    the zero complex when a is in the semigroup, else the chains of P_a, a
-    chain of k faces in cohomological degree k + 1, listed by dimension,
-    with signs alternating by position.
+    degree-a slice of the Cech complex on one generator per minimal face.
 
     A subset of generators is present iff its join is, and present subsets
-    are closed upward, so H^i of the slice is the reduced H^(i-2) of the
-    complex of subsets with absent join.  When the bottom is absent, that
-    is the crosscut complex of a lattice with proper part P_a, homotopy
-    equivalent to the order complex of P_a (Bjorner, "Topological methods",
-    Handbook of Combinatorics, Thm. 10.8)."""
+    are closed upward, so H^i of the slice is reduced H^(i-2) of the complex
+    of subsets with absent join.  With the bottom face present (a in the
+    semigroup) that complex is void and the slice zero.  Otherwise it is
+    homotopy equivalent to the order complex of P_a, the absent elements of
+    L but the bottom (crosscut theorem; Bjorner, "Topological methods",
+    Thm. 10.8): the labels are its chains, k faces in degree k + 1."""
     table = _cech_table(pres, ideal)
     leq = pres.face_lattice.leq
     present = localization_faces(pres, a, table.faces)
@@ -187,10 +180,9 @@ def cech_slice(pres: ToricPresentation, ideal: MonomialIdeal, a):
 
 def cech_ranks(pres: ToricPresentation, ideal: MonomialIdeal, a) -> tuple:
     """Cohomology ranks, by cohomological degree 0..#generators, of the
-    degree-a slice of the Cech complex, memoized per set of present faces.
-    A chain of m faces, m the number of minimal faces, ends at the top of
-    L, so a term in degree m + 1 means the top is absent and P_a is
-    contractible; a nonzero rank above #generators raises."""
+    degree-a Cech slice, memoized per set of present faces; zero in the
+    semigroup and when the top of L, the end of any chain of m faces
+    (degree m + 1, m minimal faces), is absent, as P_a then has a maximum."""
     table = _cech_table(pres, ideal)
     present = localization_faces(pres, a, table.faces)
     ranks = table.ranks.get(present)
@@ -218,10 +210,16 @@ class GradedModuleDescription:
     series_by_degree: tuple   # (cohomological_degree, ((class_id, multiplicity), ...))
 
     def length_of(self, degree: int) -> int:
-        return dict(self.lengths_by_degree).get(degree, 0)
+        for i, lng in self.lengths_by_degree:
+            if i == degree:
+                return lng
+        return 0
 
     def series_of(self, degree: int) -> tuple:
-        return dict(self.series_by_degree).get(degree, ())
+        for i, series in self.series_by_degree:
+            if i == degree:
+                return series
+        return ()
 
 
 def assemble_module(pres: ToricPresentation, ideal: MonomialIdeal,
@@ -288,7 +286,12 @@ def local_cohomology_max(pres: ToricPresentation,
     """Sector-by-sector ranks of the face complex; the support of the top
     cohomological degree is exactly the sectors containing only the full
     cone among their faces."""
-    sectors = dict.fromkeys(cls.sector for cls in enumeration.classes)
+    sectors = []
+    seen = set()
+    for cls in enumeration.classes:
+        if cls.sector not in seen:
+            seen.add(cls.sector)
+            sectors.append(cls.sector)
     pieces = []
     total = 0
     for faces in sectors:
