@@ -13,8 +13,8 @@ Every degree slice of the Cech complex is determined by which localization
 supports contain the degree; those supports are face-translated semigroup
 regions, so slices are constant on sectors and in particular on the finer
 signature classes.  Slice ranks are therefore memoized once per ideal,
-keyed by the set of elements of L whose support contains the degree, so
-the memo holds at most 2^#faces entries however many degrees are asked.
+keyed by the set of joins whose support contains the degree, so the
+memo holds at most 2^#faces entries however many degrees are asked.
 That key comes from one localization_faces call per degree, which on the
 fast paths reads the faces off the degree's failing-facet mask, memoized
 per mask (semigroups.line_keys).  A socle probe walks its box once for all
@@ -147,7 +147,7 @@ def _cech_table(pres: ToricPresentation, ideal: MonomialIdeal) -> _CechTable:
 
 
 def _subset_sign(lo, hi) -> int:
-    """(-1)^position in hi of its one element missing from lo; 0 unless lo < hi."""
+    """(-1)^position in hi of the one element of hi missing from lo, else 0."""
     missing = [pos for pos, j in enumerate(hi) if j not in lo]
     return (-1) ** missing[0] if len(missing) == 1 else 0
 

@@ -16,7 +16,8 @@ def test_corpus_report_digests():
     for argv in jobs():
         key = " ".join(argv)
         code, texts[key] = report(argv)
-        if (code, hashlib.sha256(texts[key].encode("utf-8")).hexdigest()) != (0, recorded[key]):
+        sha = hashlib.sha256(texts[key].encode("utf-8")).hexdigest()
+        if (code, sha) != (0, recorded[key]):
             changed.append(key)
     assert not changed, f"reports changed: {changed}"
     # for the maximal ideal the Cech multiplicity of a class is the face
