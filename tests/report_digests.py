@@ -2,13 +2,15 @@
 
 The jobs are the 11 corpus problems under `analyze`, `sectors`, `lc` and
 `grd`, and under `lc --socle 2,4` and `lc --socle 5,10` (66 jobs), plus
-eleven jobs on benchmark problems that the corpus does not reach: the
-dim-3 scored route with nonzero conductors (pentagon_scored), the torsion
-table route (table2d_a), a 14-face sector inventory (hexagon), `grd`
-on a scored dim-3 cone and on a normal non-simplicial one, maximal
-ideals with generators off the rays (hexagon, square5) and the maximal
-ideals of dim-3 cones with 8 and 12 minimal generator faces (cube,
-disk16); their input files are only read.  Each runs in process with
+fourteen jobs on benchmark problems that the corpus does not reach: the
+dim-3 scored route with nonzero conductors (pentagon_scored), also with
+a socle probe at a larger radius, the torsion table route (table2d_a), a
+14-face sector inventory (hexagon) and a socle probe on that cone, long
+normal scan lines (disk16 sectors), `grd` on a scored dim-3 cone and on
+a normal non-simplicial one, maximal ideals with generators off the
+rays (hexagon, square5) and the maximal ideals of dim-3 cones with 8
+and 12 minimal generator faces (cube, disk16); their input files are
+only read.  Each runs in process with
 `--format machine` and the problem path relative to the repository root,
 which the report echoes.  tests/test_report_digests.py checks the digests recorded in
 tests/data/corpus_report_digests.json; after a deliberate change to the
@@ -51,6 +53,9 @@ BENCH_JOBS = (
     ("lc", "square5", "--maximal"),
     ("lc", "cube", "--maximal"),
     ("lc", "disk16", "--maximal"),
+    ("sectors", "disk16"),
+    ("lc", "hexagon", "--socle", "2,3"),
+    ("lc", "pentagon_scored", "--maximal", "--socle", "6,12"),
 )
 
 
