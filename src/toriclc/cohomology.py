@@ -17,15 +17,16 @@ keyed by the set of joins whose support contains the degree, so the
 memo holds at most 2^#faces entries however many degrees are asked.
 That key comes from one localization_faces call per degree, which on the
 fast paths reads the faces off the degree's failing-facet mask, memoized
-per mask (semigroups.line_keys).  A socle probe walks its box once for all
-the cohomological degrees it is given, a scan line at a time, and memoizes
-Cech ranks by the same keys.
+per mask.  A socle probe walks its box once for all the cohomological
+degrees it is given, a run of constant mask at a time
+(semigroups.line_runs), and memoizes Cech ranks by the same keys.
 Assembly evaluates one representative per class and cross-checks
 additional samples, aborting on any disagreement instead of averaging.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import product
 
@@ -38,7 +39,7 @@ from .semigroups import (  # noqa: F401
     ToricPresentation,
     in_face_localization,
     in_semigroup,
-    line_keys,
+    line_runs,
     localization_faces,
     scan_lines,
     smallest_containing_face,
@@ -335,11 +336,13 @@ def socle_probe(pres: ToricPresentation, ideal: MonomialIdeal,
     A degree is a socle degree when it supports the module but every
     translate by a generator column leaves the support.  One walk of the
     box answers every cohomological degree: it goes a scan line at a time,
-    and the Cech ranks are memoized by the key of the degree
-    (semigroups.line_keys): once per key on a fast path, once per degree,
-    whether reached as box point or translate, on the table path.  The
-    keys of a line's translates are computed only for lines that hold a
-    supported degree, and the ranks of a translate only as needed."""
+    a run of constant key at a time (semigroups.line_runs), and the Cech
+    ranks are memoized by key: once per key on a fast path, once per
+    degree, whether reached as box point or translate, on the table path.
+    The runs of a line's translates are computed only for lines that hold
+    a supported run.  They cut a supported run into pieces on which every
+    translate keeps one key, so a piece is all socle degrees or none and
+    is decided once; the ranks of a translate are computed only as needed."""
     degrees = [int(i) for i in cohomological_degrees]
     if any(i < 0 for i in degrees):
         raise ValueError(f"cohomological degrees must be nonnegative, got {degrees}")
@@ -360,19 +363,25 @@ def socle_probe(pres: ToricPresentation, ideal: MonomialIdeal,
 
     found = [[] for _ in degrees]
     lines = scan_lines(pres.dim, radii[-1]) if live else ()
-    for prefix, xs in lines:
+    for prefix, [(lo, hi)] in lines:
+        runs = line_runs(pres, prefix, lo, hi)
         moved = None
-        for j, (x, key) in enumerate(zip(xs, line_keys(pres, prefix, xs))):
-            point = prefix + (x,)
-            here = ranks(key, point)
-            for k in live:
-                i = degrees[k]
-                if not here[i]:
-                    continue
-                if moved is None:
-                    moved = [(c, line_keys(pres, prefix, xs, c)) for c in columns]
-                if not any(ranks(keys[j], point, c)[i] for c, keys in moved):
-                    found[k].append(point)
+        for (start, key), (end, _) in zip(runs, [*runs[1:], (hi, None)]):
+            here = ranks(key, prefix + (start,))
+            supported = [k for k in live if here[degrees[k]]]
+            if not supported:
+                continue
+            if moved is None:
+                moved = [(c, *zip(*line_runs(pres, prefix, lo, hi, c))) for c in columns]
+                cuts = sorted({x for _, starts, _ in moved for x in starts})
+            pieces = [start, *cuts[bisect_right(cuts, start):bisect_left(cuts, end)], end]
+            for x, y in zip(pieces, pieces[1:]):
+                point = prefix + (x,)
+                keys = [(c, ks[bisect_right(starts, x) - 1]) for c, starts, ks in moved]
+                for k in supported:
+                    i = degrees[k]
+                    if not any(ranks(kc, point, c)[i] for c, kc in keys):
+                        found[k] += (prefix + (z,) for z in range(x, y))
     probes = []
     for i, points in zip(degrees, found):
         counts = []

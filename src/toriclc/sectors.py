@@ -17,11 +17,12 @@ Class enumeration scans growing centered boxes and stops after two
 consecutive growth steps discover no new signature; the theory guarantees
 finiteness but no effective bound, so the box used is always reported.
 Each growth step scans only the shell outside the previous box, a scan
-line at a time.  On the normal and scored fast paths a degree enters only
-through its key, the mask of the facets failing the route's test
-(semigroups.line_keys), so signatures are memoized per key on the
-presentation; on the table path each degree is signed once and nothing is
-memoized per degree.
+line at a time, and each line a run of constant key at a time
+(semigroups.line_runs).  On the normal and scored fast paths a degree
+enters only through its key, the mask of the facets failing the route's
+test, so a run is signed once and signatures are memoized per key on the
+presentation; on the table path every degree is its own run, signed once,
+and nothing is memoized per degree.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import CycleDetected
 from .semigroups import (
     ToricPresentation,
     in_face_localization,
-    line_keys,
+    line_runs,
     localization_faces,
     scan_lines,
 )
@@ -155,13 +156,15 @@ def enumerate_classes(pres: ToricPresentation, *, initial_radius=None,
 
     Each growth step signs only the shell of points outside the previous
     box, a scan line at a time: earlier steps already covered the inner
-    points, so they can add no class and no sample.  On a fast path a
-    degree's signature is looked up by its key (semigroups.line_keys) in a
+    points, so they can add no class and no sample.  A line is walked by
+    its runs of constant key (semigroups.line_runs), and a run is signed
+    once, at its first degree, and gives its first degrees as samples.  On
+    a fast path the signature is looked up by the run's key in a
     per-presentation memo, and degree_signature runs once per new key; on
-    the table path it runs once per degree and nothing is memoized.  Stops
-    once STABLE_STEPS consecutive growths add no new signature.  Class ids
-    are assigned in order of first discovery under a lexicographic scan of
-    each shell, so results are deterministic.
+    the table path every degree is its own run and nothing is memoized.
+    Stops once STABLE_STEPS consecutive growths add no new signature.
+    Class ids are assigned in order of first discovery under a
+    lexicographic scan of each shell, so results are deterministic.
     """
     pres._require_pointed()
     radius = initial_radius if initial_radius else default_initial_radius(pres)
@@ -182,16 +185,17 @@ def enumerate_classes(pres: ToricPresentation, *, initial_radius=None,
     stable = 0
     while True:
         new_found = 0
-        for prefix, xs in scan_lines(pres.dim, radius, inner):
-            for x, key in zip(xs, line_keys(pres, prefix, xs)):
-                point = prefix + (x,)
-                sig = sign(key, point)
-                pts = samples.get(sig)
-                if pts is None:
-                    pts = samples[sig] = []
-                    new_found += 1
-                if len(pts) < samples_per_class:
-                    pts.append(point)
+        for prefix, segments in scan_lines(pres.dim, radius, inner):
+            for lo, hi in segments:
+                runs = line_runs(pres, prefix, lo, hi)
+                for (start, key), (end, _) in zip(runs, [*runs[1:], (hi, None)]):
+                    sig = sign(key, prefix + (start,))
+                    pts = samples.get(sig)
+                    if pts is None:
+                        pts = samples[sig] = []
+                        new_found += 1
+                    stop = min(end, start + samples_per_class - len(pts))
+                    pts += (prefix + (x,) for x in range(start, stop))
         history.append((radius, new_found))
         stable = stable + 1 if new_found == 0 else 0
         if stable >= STABLE_STEPS:

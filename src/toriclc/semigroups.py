@@ -33,10 +33,12 @@ On a shortcut the failing-facet mask of a degree, the bitmask of the
 facets whose value fails the route's test, is its key: a face's
 localization contains the degree iff none of the face's facets is in the
 mask, so every shortcut answer depends on a degree only through it (the
-sector data of Helm-Miller's sector partition).  One line kernel
-(_line_masks) computes the masks of a whole scan line, which is how the
-class scan and socle probes walk their boxes; the faces present are
-memoized per mask.
+sector data of Helm-Miller's sector partition).  Along a scan line a
+facet's bit changes only at its sign threshold and, on the scored route,
+beside the few degrees where its value is a gap, so one line kernel
+(line_runs) cuts a line into maximal runs of constant mask from one base
+value and a few toggles per facet; the class scan and socle probes walk
+their boxes a run at a time, and the faces present are memoized per mask.
 """
 
 from __future__ import annotations
@@ -387,10 +389,16 @@ class _BfsTable:
 # -- public membership oracles ----------------------------------------------
 
 
+def _fails(pres: ToricPresentation, route: str, facet_id: int, value: int) -> bool:
+    """Whether a facet value fails the route's test (see line_runs)."""
+    return value < 0 or route == "scored" and value in pres.facet_semigroup(facet_id).gaps
+
+
 def _failing_facets(pres: ToricPresentation, route: str, a) -> int:
-    """The failing-facet mask of one degree (see _line_masks)."""
+    """The failing-facet mask of one degree, from its facet values."""
     a = la.vec(a)
-    return _line_masks(pres, route, a[:-1], a[-1:])[0]
+    return sum(1 << s.facet_id for s in pres.supports
+               if _fails(pres, route, s.facet_id, s.value(a)))
 
 
 def localization_faces(pres: ToricPresentation, a, face_ids) -> frozenset:
@@ -427,7 +435,9 @@ def in_face_localization(pres: ToricPresentation, a, face_id: int) -> bool:
         return True
     if pres.fast_path is None:
         return pres._table_membership(a, face_id)
-    return not pres._zero_facet_masks[face_id] & degree_key(pres, a)
+    # the degree's mask misses the face's zero facets
+    return not any(_fails(pres, pres.fast_path, s, pres.supports[s].value(a))
+                   for s in pres._zero_facet_ids[face_id])
 
 
 def face_membership_search(pres: ToricPresentation, a, face_id: int,
@@ -557,57 +567,71 @@ def escape_count(pres: ToricPresentation, shift) -> int:
 # -- per-degree keys on the fast paths -----------------------------------------
 
 
-def _line_masks(pres: ToricPresentation, route: str, prefix, xs) -> list:
-    """Failing-facet masks of the degrees prefix + (x,), for every x in xs.
+def line_runs(pres: ToricPresentation, prefix, lo: int, hi: int, shift=None) -> list:
+    """Maximal runs [(start, key)] of constant key over the degrees
+    prefix + (x,) for lo <= x < hi, translated by shift when given, by
+    increasing start: a run ends where the next starts, the last at hi.
 
-    Bit s is set iff F_s fails the route's test: F_s < 0 on route
-    "normal", F_s < 0 or F_s a gap of the facet numerical semigroup on
-    route "scored".  Each facet's value at the prefix is computed once."""
-    bits = []
-    for s in pres.supports:
-        gaps = pres.facet_semigroup(s.facet_id).gaps if route == "scored" else ()
-        base = sum(map(mul, s.coefficients, prefix))
-        slope = s.coefficients[-1]
-        bit = 1 << s.facet_id
-        bits.append([bit if (v := base + slope * x) < 0 or v in gaps else 0 for x in xs])
-    # distinct facets set distinct bits, so a degree's sum is their union
-    return list(map(sum, zip(*bits)))
-
-
-def line_keys(pres: ToricPresentation, prefix, xs, shift=None) -> list:
-    """Keys of the degrees prefix + (x,), translated by shift when given,
-    for every x in xs.
-
-    On a fast path the key is the failing-facet mask (_line_masks).  Every
-    fast-path answer applies the route's test to F_s(a - r), with r zero
-    or a torsion residue representative of a face inside facet s; such an
-    r lies in its face's span, so F_s(a - r) = F_s(a), and two degrees with
-    one mask get the same answer to every fast-path question.  On the
-    table path the key is the degree itself."""
+    On a fast path the key is the failing-facet mask: bit s is set iff F_s
+    fails the route's test, F_s < 0 on route "normal", F_s < 0 or F_s a gap
+    of the facet numerical semigroup on route "scored".  Every fast-path
+    answer applies that test to F_s(a - r), with r zero or a torsion
+    residue representative of a face inside facet s; such an r lies in its
+    face's span, so F_s(a - r) = F_s(a), and two degrees with one mask get
+    the same answer to every fast-path question.  Along the line
+    F_s = base + slope * x, so bit s toggles only at the sign threshold and
+    at x and x + 1 for an x where F_s is a gap; toggles at one x are XORed,
+    and an x where they cancel starts no run.  On the table path the key is
+    the degree itself, one run per x."""
+    last = 0
     if shift is not None:
-        # vadd and the dot products of the kernel stop at the end of the prefix
-        prefix = la.vadd(prefix, shift)
-        xs = [x + shift[-1] for x in xs]
+        # map and the dot products below stop at the end of the prefix
+        prefix, last = tuple(map(add, prefix, shift)), shift[-1]
     if pres.fast_path is None:
-        return [prefix + (x,) for x in xs]
-    return _line_masks(pres, pres.fast_path, prefix, xs)
+        return [(x, prefix + (x + last,)) for x in range(lo, hi)]
+    mask = 0
+    toggles = {}
+    for s in pres.supports:
+        slope = s.coefficients[-1]
+        base = sum(map(mul, s.coefficients, prefix)) + slope * last
+        bit = 1 << s.facet_id
+        if _fails(pres, pres.fast_path, s.facet_id, base + slope * lo):
+            mask |= bit
+        if not slope:
+            continue
+        cuts = [-(base // slope) if slope > 0 else base // -slope + 1]
+        if pres.fast_path == "scored":
+            for g in pres.facet_semigroup(s.facet_id).gaps:
+                x, r = divmod(g - base, slope)
+                if not r:
+                    cuts += (x, x + 1)
+        for x in cuts:
+            if lo < x < hi:
+                toggles[x] = toggles.get(x, 0) ^ bit
+    runs = [(lo, mask)]
+    for x in sorted(toggles):
+        if toggles[x]:
+            mask ^= toggles[x]
+            runs.append((x, mask))
+    return runs
 
 
 def degree_key(pres: ToricPresentation, a):
-    """The key of one degree, as line_keys gives it."""
+    """The key of one degree, as line_runs gives it."""
     a = la.vec(a)
-    return line_keys(pres, a[:-1], a[-1:])[0]
+    return line_runs(pres, a[:-1], a[-1], a[-1] + 1)[0][1]
 
 
 def scan_lines(dim: int, radius: int, inner: int = -1):
     """The points of the centered box of the radius that lie outside the
-    box of radius inner, as scan lines (prefix, xs) over the last
-    coordinate, in lexicographic order.  A prefix inside the inner box
-    keeps only its x with |x| > inner."""
-    full = range(-radius, radius + 1)
-    outer = [x for x in full if abs(x) > inner]
-    for prefix in product(full, repeat=dim - 1):
-        yield prefix, outer if max(map(abs, prefix), default=0) <= inner else full
+    box of radius inner, as scan lines (prefix, segments) over the last
+    coordinate, in lexicographic order; a segment is a half-open range
+    (lo, hi) of x.  A prefix inside the inner box keeps the two segments
+    with |x| > inner, any other prefix the whole range."""
+    whole = [(-radius, radius + 1)]
+    outer = [(-radius, -inner), (inner + 1, radius + 1)]
+    for prefix in product(range(-radius, radius + 1), repeat=dim - 1):
+        yield prefix, outer if max(map(abs, prefix), default=0) <= inner else whole
 
 
 # -- classification -----------------------------------------------------------

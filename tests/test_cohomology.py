@@ -310,6 +310,24 @@ def test_socle_probe_walks_once_for_every_degree(name, ideal_kind):
     assert socle_probe(pres, ideal, [], [1, 3]) == ()
 
 
+@pytest.mark.parametrize("name,ideal_kind", [
+    ("dim3_hartshorne", "file"),
+    ("dim2_scored_nonnormal", "maximal"),
+    ("dim2_nonscored", "maximal"),
+    ("pentagon_scored", "bench"),
+])
+def test_socle_probe_matches_per_degree_reference(name, ideal_kind):
+    # the probe decides whole pieces of runs at once; the reference asks
+    # every degree of the box and every column translate of it, on the
+    # normal, scored (nonzero conductors on the pentagon) and table routes
+    pres, ideal = _problem_and_ideal(name, ideal_kind)
+    degrees = list(range(len(ideal.generator_degrees) + 1))
+    for i, probe in zip(degrees, socle_probe(pres, ideal, degrees, [2, 6])):
+        reference = _reference_socle_degrees(pres, ideal, i, 6)
+        assert probe.degrees_by_radius == (
+            (2, tuple(a for a in reference if max(map(abs, a)) <= 2)), (6, reference))
+
+
 @pytest.mark.parametrize("radii", [[], [-1], [3, -2]])
 def test_socle_probe_rejects_bad_radii(pres_hartshorne, radii):
     ideal = MonomialIdeal.from_degrees(pres_hartshorne, CORPUS["dim3_hartshorne"][1])

@@ -35,7 +35,7 @@ from toriclc import (
 from toriclc import intlinalg as la
 from toriclc import semigroups
 from toriclc.errors import FullLatticeRequired
-from toriclc.semigroups import _facet_box_points, line_keys
+from toriclc.semigroups import _facet_box_points, line_runs
 
 
 def test_numerical_semigroup_23():
@@ -173,6 +173,39 @@ def _reference_key(pres, a):
         if (v < 0 if pres.fast_path == "normal" else v not in pres.facet_semigroup(s)))
 
 
+def _run_keys(runs, hi):
+    """The key of every degree of the runs, the last run ending at hi."""
+    ends = [start for start, _ in runs[1:]] + [hi]
+    return [key for (start, key), end in zip(runs, ends) for _ in range(start, end)]
+
+
+@pytest.mark.parametrize("name", [*sorted(CORPUS), "pentagon_scored"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_line_runs_match_reference_keys(name, data):
+    # every route, with the scored pentagon's nonzero conductors: the runs
+    # expand to each degree's own key, start at lo, strictly increase and
+    # change key at every start; the one-degree mask agrees with them
+    pres = _keyed(name)[0]
+    prefix = data.draw(st.tuples(*[st.integers(-12, 12)] * (pres.dim - 1)), label="prefix")
+    lo = data.draw(st.integers(-15, 15), label="lo")
+    hi = data.draw(st.integers(lo + 1, 16), label="hi")
+    shift = data.draw(st.sampled_from([None, *pres.columns]), label="shift")
+    runs = line_runs(pres, prefix, lo, hi, shift)
+    starts = [start for start, _ in runs]
+    assert starts[0] == lo and starts[-1] < hi
+    assert all(x < y for x, y in zip(starts, starts[1:]))
+    assert all(k != n for (_, k), (_, n) in zip(runs, runs[1:]))
+    line = [prefix + (x,) for x in range(lo, hi)]
+    if shift is not None:
+        line = [la.vadd(b, shift) for b in line]
+    keys = [_reference_key(pres, b) for b in line]
+    assert _run_keys(runs, hi) == keys
+    assert [semigroups.degree_key(pres, b) for b in line] == keys
+    if pres.fast_path is not None:
+        assert [semigroups._failing_facets(pres, pres.fast_path, b) for b in line] == keys
+
+
 def test_pentagon_scored_has_conductors():
     pres, _, _ = _keyed("pentagon_scored")
     assert pres.fast_path == "scored"
@@ -194,15 +227,15 @@ def test_localization_faces_match_search_and_residues(name, data):
         f for f in faces if face_membership_search(pres, a, f, search_bound=100))
     assert degree_signature(pres, a).residues == tuple(
         face_residues(pres, a, f) for f in faces)
-    # the line kernel on the scan line through a, translated by a column or
-    # not, gives every degree its own key; degrees sharing a key share every
+    # the runs of the scan line through a, translated by a column or not,
+    # expand to every degree's own key; degrees sharing a key share every
     # per-degree answer, and the answers memoized per key are those answers
     shift = data.draw(st.sampled_from([None, *pres.columns]), label="shift")
-    xs = range(a[-1] - 3, a[-1] + 4)
-    line = [a[:-1] + (x,) for x in xs]
+    lo, hi = a[-1] - 3, a[-1] + 4
+    line = [a[:-1] + (x,) for x in range(lo, hi)]
     if shift is not None:
         line = [la.vadd(b, shift) for b in line]
-    keys = line_keys(pres, a[:-1], xs, shift)
+    keys = _run_keys(line_runs(pres, a[:-1], lo, hi, shift), hi)
     assert keys == [_reference_key(pres, b) for b in line]
     per_key = {}
     for b, key in zip(line, keys):
