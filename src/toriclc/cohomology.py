@@ -372,15 +372,16 @@ def socle_probe(pres: ToricPresentation, ideal: MonomialIdeal,
             if not supported:
                 continue
             if moved is None:
+                # (column, run starts, run keys) of each translate of the line
                 moved = [(c, *zip(*line_runs(pres, prefix, lo, hi, c))) for c in columns]
-                cuts = sorted({x for _, starts, _ in moved for x in starts})
+                cuts = sorted(set().union(*(starts for _, starts, _ in moved)))
             pieces = [start, *cuts[bisect_right(cuts, start):bisect_left(cuts, end)], end]
             for x, y in zip(pieces, pieces[1:]):
                 point = prefix + (x,)
-                keys = [(c, ks[bisect_right(starts, x) - 1]) for c, starts, ks in moved]
                 for k in supported:
                     i = degrees[k]
-                    if not any(ranks(kc, point, c)[i] for c, kc in keys):
+                    if not any(ranks(ks[bisect_right(starts, x) - 1], point, c)[i]
+                               for c, starts, ks in moved):
                         found[k] += (prefix + (z,) for z in range(x, y))
     probes = []
     for i, points in zip(degrees, found):

@@ -194,8 +194,9 @@ def enumerate_classes(pres: ToricPresentation, *, initial_radius=None,
                     if pts is None:
                         pts = samples[sig] = []
                         new_found += 1
-                    stop = min(end, start + samples_per_class - len(pts))
-                    pts += (prefix + (x,) for x in range(start, stop))
+                    if len(pts) < samples_per_class:
+                        stop = min(end, start + samples_per_class - len(pts))
+                        pts += (prefix + (x,) for x in range(start, stop))
         history.append((radius, new_found))
         stable = stable + 1 if new_found == 0 else 0
         if stable >= STABLE_STEPS:
