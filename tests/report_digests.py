@@ -2,10 +2,10 @@
 
 The jobs are the 11 corpus problems under `analyze`, `sectors`, `lc` and
 `grd`, and under `lc --socle 2,4` and `lc --socle 5,10` (66 jobs), plus
-fourteen jobs on benchmark problems that the corpus does not reach: the
+fifteen jobs on benchmark problems that the corpus does not reach: the
 dim-3 scored route with nonzero conductors (pentagon_scored), also with
 a socle probe at a larger radius, the torsion table route (table2d_a), a
-14-face sector inventory (hexagon) and a socle probe on that cone, long
+table-path class scan out to radius 64 (table2d_b), a 14-face sector inventory (hexagon) and a socle probe on that cone, long
 normal scan lines (disk16 sectors), `grd` on a scored dim-3 cone and on
 a normal non-simplicial one, maximal ideals with generators off the
 rays (hexagon, square5) and the maximal ideals of dim-3 cones with 8
@@ -56,6 +56,7 @@ BENCH_JOBS = (
     ("sectors", "disk16"),
     ("lc", "hexagon", "--socle", "2,3"),
     ("lc", "pentagon_scored", "--maximal", "--socle", "6,12"),
+    ("sectors", "table2d_b"),
 )
 
 
