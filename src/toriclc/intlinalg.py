@@ -241,11 +241,21 @@ def smith_normal_form(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    """Rank over the rationals (integer row reduction is rank-preserving)."""
-    if not m:
-        return 0
-    h, _ = hermite_normal_form(m)
-    return sum(1 for row in h if not is_zero_vector(row))
+    """Rank over the rationals, by fraction-free (Bareiss) row reduction of
+    a copy, with no unimodular transform: every entry stays a minor of m,
+    so each division by the previous pivot is exact."""
+    rows = [list(r) for r in m]
+    r, prev = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        p = rows[r][col]
+        rows[r + 1:] = [[(p * x - row[col] * y) // prev for x, y in zip(row, rows[r])]
+                        for row in rows[r + 1:]]
+        r, prev = r + 1, p
+    return r
 
 
 def det(m: Matrix) -> int:

@@ -187,3 +187,27 @@ def test_coset_reps_properties(m):
     sat = lat.saturation()
     for r in reps:
         assert sat.contains(r)
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """Products of a random rows x k and k x cols matrix, k <= 4, with up to
+    two zero rows inserted: rank at most k, often below both dimensions."""
+    rows, cols, k = draw(st.integers(0, 6)), draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    entries = st.integers(-5, 5)
+    left = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                          min_size=k, max_size=k))
+    m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if k else [0] * cols
+         for row in left]
+    for pos in draw(st.lists(st.integers(0, rows), max_size=2)):
+        m.insert(pos, [0] * cols)
+    return la.mat(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.one_of(small_matrices, rank_deficient_matrices()))
+def test_rank_matches_hermite_rank(m):
+    # fraction-free elimination against the nonzero rows of the Hermite form
+    h, _ = la.hermite_normal_form(m)
+    assert la.rank(m) == sum(1 for row in h if any(row))
