@@ -15,18 +15,17 @@ regions, so slices are constant on sectors and in particular on the finer
 signature classes.  Slice ranks are therefore memoized once per ideal,
 keyed by the set of joins whose support contains the degree, so the
 memo holds at most 2^#faces entries however many degrees are asked.
-That key comes from one localization_faces call per degree, which on the
-fast paths reads the faces off the degree's failing-facet mask, memoized
-per mask.  A socle probe walks its box once for all the cohomological
-degrees it is given, a run of constant mask at a time
-(semigroups.line_runs), and memoizes Cech ranks by the same keys.
+That key comes from one localization_faces call per degree, which reads
+the faces off the degree's key (semigroups.line_runs), memoized per key.
+A socle probe walks its box once for all the cohomological degrees it is
+given, a run of constant key at a time, and memoizes Cech ranks by key.
 Assembly evaluates one representative per class and cross-checks
 additional samples, aborting on any disagreement instead of averaging.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 
@@ -337,12 +336,11 @@ def socle_probe(pres: ToricPresentation, ideal: MonomialIdeal,
     translate by a generator column leaves the support.  One walk of the
     box answers every cohomological degree: it goes a scan line at a time,
     a run of constant key at a time (semigroups.line_runs), and the Cech
-    ranks are memoized by key: once per key on a fast path, once per
-    degree, whether reached as box point or translate, on the table path.
-    The runs of a line's translates are computed only for lines that hold
-    a supported run.  They cut a supported run into pieces on which every
-    translate keeps one key, so a piece is all socle degrees or none and
-    is decided once; the ranks of a translate are computed only as needed."""
+    ranks are memoized by key, whether reached as box point or translate.
+    The runs of the translates of a supported run, over the run's own
+    degrees, cut it into pieces on which every translate keeps one key, so
+    a piece is all socle degrees or none and is decided once; the ranks of
+    a translate are computed only as needed."""
     degrees = [int(i) for i in cohomological_degrees]
     if any(i < 0 for i in degrees):
         raise ValueError(f"cohomological degrees must be nonnegative, got {degrees}")
@@ -365,18 +363,15 @@ def socle_probe(pres: ToricPresentation, ideal: MonomialIdeal,
     lines = scan_lines(pres.dim, radii[-1]) if live else ()
     for prefix, [(lo, hi)] in lines:
         runs = line_runs(pres, prefix, lo, hi)
-        moved = None
         for (start, key), (end, _) in zip(runs, [*runs[1:], (hi, None)]):
             here = ranks(key, prefix + (start,))
             supported = [k for k in live if here[degrees[k]]]
             if not supported:
                 continue
-            if moved is None:
-                # (column, run starts, run keys) of each translate of the line
-                moved = [(c, *zip(*line_runs(pres, prefix, lo, hi, c))) for c in columns]
-                cuts = sorted(set().union(*(starts for _, starts, _ in moved)))
-            pieces = [start, *cuts[bisect_right(cuts, start):bisect_left(cuts, end)], end]
-            for x, y in zip(pieces, pieces[1:]):
+            # (column, run starts, run keys) of each translate of the run
+            moved = [(c, *zip(*line_runs(pres, prefix, start, end, c))) for c in columns]
+            cuts = sorted(set().union(*(starts for _, starts, _ in moved)))
+            for x, y in zip(cuts, [*cuts[1:], end]):
                 point = prefix + (x,)
                 for k in supported:
                     i = degrees[k]

@@ -18,11 +18,11 @@ consecutive growth steps discover no new signature; the theory guarantees
 finiteness but no effective bound, so the box used is always reported.
 Each growth step scans only the shell outside the previous box, a scan
 line at a time, and each line a run of constant key at a time
-(semigroups.line_runs).  On the normal and scored fast paths a degree
-enters only through its key, the mask of the facets failing the route's
-test, so a run is signed once and signatures are memoized per key on the
-presentation; on the table path every degree is its own run, signed once,
-and nothing is memoized per degree.
+(semigroups.line_runs).  A degree enters only through its key: on the
+normal and scored fast paths the mask of the facets failing the route's
+test, on the table path its membership bit per face and residue.  So a
+run is signed once and signatures are memoized per key on the
+presentation.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from . import intlinalg as la
 from .errors import CycleDetected
 from .semigroups import (
     ToricPresentation,
+    face_residue_reps,
     in_face_localization,
     line_runs,
     localization_faces,
@@ -55,19 +56,6 @@ def signatures_equiv(a: Signature, b: Signature) -> bool:
     """Mutual face-wise inclusion; coincides with equality because
     signatures are stored canonically."""
     return signature_leq(a, b) and signature_leq(b, a)
-
-
-def face_residue_reps(pres: ToricPresentation, face_id: int) -> tuple:
-    """Representatives of the residue classes available along one face.
-
-    The zero vector is always the representative with index 0, so the
-    sector of a degree can be read off its signature.
-    """
-    reps = pres._residue_reps.get(face_id)
-    if reps is None:
-        reps = la.torsion_coset_reps(pres.face_quotient(face_id))
-        pres._residue_reps[face_id] = reps
-    return reps
 
 
 def face_residues(pres: ToricPresentation, a, face_id: int) -> frozenset:
@@ -158,27 +146,16 @@ def enumerate_classes(pres: ToricPresentation, *, initial_radius=None,
     box, a scan line at a time: earlier steps already covered the inner
     points, so they can add no class and no sample.  A line is walked by
     its runs of constant key (semigroups.line_runs), and a run is signed
-    once, at its first degree, and gives its first degrees as samples.  On
-    a fast path the signature is looked up by the run's key in a
-    per-presentation memo, and degree_signature runs once per new key; on
-    the table path every degree is its own run and nothing is memoized.
+    once, at its first degree, and gives its first degrees as samples.  The
+    signature is looked up by the run's key in a per-presentation memo, and
+    degree_signature runs once per new key.
     Stops once STABLE_STEPS consecutive growths add no new signature.
     Class ids are assigned in order of first discovery under a
     lexicographic scan of each shell, so results are deterministic.
     """
     pres._require_pointed()
     radius = initial_radius if initial_radius else default_initial_radius(pres)
-    if pres.fast_path is None:
-        def sign(key, a):
-            return degree_signature(pres, a)
-    else:
-        memo = pres._signatures
-
-        def sign(key, a):
-            sig = memo.get(key)
-            if sig is None:
-                sig = memo[key] = degree_signature(pres, a)
-            return sig
+    memo = pres._signatures
     samples = {}  # signature -> sample degrees, representative first
     history = []
     inner = -1    # radius of the box already scanned
@@ -189,7 +166,9 @@ def enumerate_classes(pres: ToricPresentation, *, initial_radius=None,
             for lo, hi in segments:
                 runs = line_runs(pres, prefix, lo, hi)
                 for (start, key), (end, _) in zip(runs, [*runs[1:], (hi, None)]):
-                    sig = sign(key, prefix + (start,))
+                    sig = memo.get(key)
+                    if sig is None:
+                        sig = memo[key] = degree_signature(pres, prefix + (start,))
                     pts = samples.get(sig)
                     if pts is None:
                         pts = samples[sig] = []

@@ -35,10 +35,12 @@ localization contains the degree iff none of the face's facets is in the
 mask, so every shortcut answer depends on a degree only through it (the
 sector data of Helm-Miller's sector partition).  Along a scan line a
 facet's bit changes only at its sign threshold and, on the scored route,
-beside the few degrees where its value is a gap, so one line kernel
-(line_runs) cuts a line into maximal runs of constant mask from one base
-value and a few toggles per facet; the class scan and socle probes walk
-their boxes a run at a time, and the faces present are memoized per mask.
+beside the few degrees where its value is a gap.  On the table path the
+key holds one membership bit per proper face and residue representative,
+read off tables keyed by facet values and torsion residues.  One line
+kernel (line_runs) cuts a line into maximal runs of constant key on every
+route; the class scan and socle probes walk their boxes a run at a time,
+and the answers are memoized per key.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
 from math import gcd
-from operator import add, le, mul
+from operator import add, gt, le, mod, mul
 
 from . import intlinalg as la
 from .cones import (
@@ -199,6 +201,7 @@ class ToricPresentation:
         self._cech_tables = {}
         self._present_by_key = {}
         self._signatures = {}
+        self._key_bits = None
         # grading's generator monomials and exponent-map checks, on first use
         self._exponent_map = None
         self._zero_facet_masks = ()
@@ -272,6 +275,10 @@ class ToricPresentation:
         if tbl is None:
             relevant = self._zero_facet_ids[face_id]
             quot = self.face_quotient(face_id)
+            # the facets containing the face cut it out, so their values fix
+            # the free part of a degree's image in Z^d / ZF
+            if la.rank(la.mat(self.supports[s].coefficients for s in relevant)) != quot.free_rank:
+                raise AssertionError(f"facet values of face {face_id} miss its quotient")
             face = self.face_lattice.face(face_id)
             moves = []
             for i, col in enumerate(self.columns):
@@ -279,8 +286,29 @@ class ToricPresentation:
                     continue
                 vals = tuple(self.supports[s].value(col) for s in relevant)
                 moves.append((col, vals))
-            tbl = _BfsTable(quot, relevant, moves)
+            torsion = [(c, m) for c, m in zip(quot._coord_columns, quot._moduli) if m >= 2]
+            tbl = _BfsTable(relevant, torsion, moves)
             self._tables[face_id] = tbl
+        return tbl
+
+    def _grown_table(self, face_id: int, vals):
+        """The face's table, first rebuilt when a facet value exceeds its cap:
+        each cap doubles, or grows to the value or the base cap, never past
+        the ceiling; a value above the ceiling raises SearchBoundExceeded."""
+        tbl = self._table(face_id)
+        if tbl.caps is None or any(map(gt, vals, tbl.caps)):
+            ceiling = self._table_ceiling()
+            needed = []
+            for v, s, old in zip(vals, tbl.relevant, tbl.caps or (0,) * len(vals)):
+                if v > ceiling[s]:
+                    raise SearchBoundExceeded(
+                        f"facet value {v} is above the table ceiling "
+                        f"{ceiling[s]}; raise the search bound"
+                    )
+                base = self.facet_semigroup(s).conductor + self.box_margin
+                # double for amortization, but never past the ceiling
+                needed.append(min(max(base, v, 2 * old), ceiling[s]))
+            tbl.rebuild(needed, self.table_state_limit)
         return tbl
 
     def _table_membership(self, a, face_id: int) -> bool:
@@ -288,23 +316,8 @@ class ToricPresentation:
         vals = tuple(self.supports[s].value(a) for s in relevant)
         if any(v < 0 for v in vals):
             return False
-        tbl = self._table(face_id)
-        if tbl.caps is None or any(v > c for v, c in zip(vals, tbl.caps)):
-            ceiling = self._table_ceiling()
-            for idx, s in enumerate(relevant):
-                if vals[idx] > ceiling[s]:
-                    raise SearchBoundExceeded(
-                        f"facet value {vals[idx]} is above the table ceiling "
-                        f"{ceiling[s]}; raise the search bound"
-                    )
-            needed = []
-            for idx, s in enumerate(relevant):
-                base = self.facet_semigroup(s).conductor + self.box_margin
-                old = tbl.caps[idx] if tbl.caps else 0
-                # double for amortization, but never past the ceiling
-                needed.append(min(max(base, vals[idx], 2 * old), ceiling[s]))
-            tbl.rebuild(needed, self.table_state_limit)
-        return tbl.lookup(a, vals)
+        tbl = self._grown_table(face_id, vals)
+        return vals + tuple(sum(map(mul, a, c)) % m for c, m in tbl.torsion) in tbl.keys
 
     def _table_ceiling(self) -> dict:
         """Per-facet bound on table caps: the largest facet value reachable
@@ -320,70 +333,58 @@ class ToricPresentation:
 
 class _BfsTable:
     """Breadth-first closure of the image of the semigroup in a face
-    quotient, restricted to facet values within per-facet caps.
+    quotient Z^d / ZF, restricted to facet values within per-facet caps.
 
     Complete for every query whose facet values fit under the caps: any
     representation of such a degree has all partial sums inside the capped
     region, since moves never decrease a facet value.
 
-    Projection to the quotient is a group homomorphism, so each move is
-    projected once per rebuild and a state steps by adding the projected
-    move coordinatewise, reducing only the torsion coordinates: the states
-    are those of projecting a lift plus the move, with no lift carried.
+    A state of Z^d / ZF is keyed by the values of the facets containing F,
+    which fix its free part, followed by its torsion residues (dot products
+    with the torsion coordinate columns, reduced mod their moduli).  Both
+    are homomorphisms, so a move steps a key by adding its increments and
+    reducing the residues, and a degree is a member iff its key is in keys.
     """
 
-    __slots__ = ("quotient", "relevant", "moves", "caps", "members")
+    __slots__ = ("relevant", "torsion", "moves", "caps", "keys")
 
-    def __init__(self, quot, relevant, moves):
-        self.quotient = quot
+    def __init__(self, relevant, torsion, moves):
         self.relevant = relevant
+        self.torsion = tuple(torsion)
         self.moves = tuple(moves)
         self.caps = None
-        self.members = None
+        self.keys = None
 
     def rebuild(self, caps, state_limit: int) -> None:
         caps = tuple(caps)
-        quot = self.quotient
-        origin = quot.project(la.zero_vector(quot.ambient_rank))
-        steps = [(quot.project(col), mv_vals) for col, mv_vals in self.moves]
-        torsion = [(i, m) for i, m in enumerate(quot._moduli) if m >= 2]
-        members = {origin: (0,) * len(self.relevant)}
+        k = len(caps)
+        moduli = tuple(m for _, m in self.torsion)
+        steps = [vals + tuple(sum(map(mul, col, c)) % m for c, m in self.torsion)
+                 for col, vals in self.moves]
+        origin = (0,) * (k + len(moduli))
+        keys = {origin}
         frontier = [origin]
         while frontier:
             nxt = []
-            for state in frontier:
-                vals = members[state]
-                for step, mv_vals in steps:
-                    new_vals = tuple(map(add, vals, mv_vals))
-                    if not all(map(le, new_vals, caps)):
+            for key in frontier:
+                for step in steps:
+                    new = tuple(map(add, key, step))
+                    # map stops at the caps, so only facet values are capped
+                    if not all(map(le, new, caps)):
                         continue
-                    new_state = tuple(map(add, state, step))
-                    if torsion:
-                        reduced = list(new_state)
-                        for i, m in torsion:
-                            reduced[i] %= m
-                        new_state = tuple(reduced)
-                    if new_state not in members:
-                        members[new_state] = new_vals
-                        nxt.append(new_state)
-            if len(members) > state_limit:
+                    if moduli:
+                        new = new[:k] + tuple(map(mod, new[k:], moduli))
+                    if new not in keys:
+                        keys.add(new)
+                        nxt.append(new)
+            if len(keys) > state_limit:
                 # leave any previously built table intact
                 raise SearchBoundExceeded(
                     f"membership table needs more than {state_limit} states"
                 )
             frontier = nxt
         self.caps = caps
-        self.members = members
-
-    def lookup(self, a, vals) -> bool:
-        state = self.quotient.project(a)
-        got = self.members.get(state)
-        if got is None:
-            return False
-        # facet values factor through the quotient, so they must agree
-        if got != vals:
-            raise AssertionError("facet values inconsistent with quotient state")
-        return True
+        self.keys = keys
 
 
 # -- public membership oracles ----------------------------------------------
@@ -403,21 +404,18 @@ def _failing_facets(pres: ToricPresentation, route: str, a) -> int:
 
 def localization_faces(pres: ToricPresentation, a, face_ids) -> frozenset:
     """The faces among face_ids whose localization (semigroup + group of the
-    face) contains the degree.
-
-    On a fast path the degree's key is its failing-facet mask, and a face
-    is present iff its zero-facet mask misses the key; the faces present
-    are memoized per key.  On the table path each face is asked in the
-    given order, so table rebuilds follow the queries."""
+    face) contains the degree, read off the degree's key (see line_runs)
+    and memoized per key: on a fast path a face is present iff its
+    zero-facet mask misses the key, on the table path iff the key holds the
+    bit of its zero residue."""
     pres._require_pointed()
-    a = la.vec(a)
-    if pres.fast_path is None:
-        return frozenset(f for f in face_ids if in_face_localization(pres, a, f))
     key = degree_key(pres, a)
     present = pres._present_by_key.get(key)
     if present is None:
         present = pres._present_by_key[key] = frozenset(
-            f for f, mask in enumerate(pres._zero_facet_masks) if not mask & key)
+            (pres.face_lattice.top_id, *(f for f, bit, _ in _key_bits(pres) if key >> bit & 1))
+            if pres.fast_path is None else
+            (f for f, mask in enumerate(pres._zero_facet_masks) if not mask & key))
     return present.intersection(face_ids)
 
 
@@ -564,7 +562,73 @@ def escape_count(pres: ToricPresentation, shift) -> int:
     return pres.facet_semigroup(0).escape_count(pres.supports[0].value(shift))
 
 
-# -- per-degree keys on the fast paths -----------------------------------------
+# -- per-degree keys ----------------------------------------------------------
+
+
+def face_residue_reps(pres: ToricPresentation, face_id: int) -> tuple:
+    """Representatives of the residue classes available along one face.
+
+    The zero vector is always the representative with index 0, so the
+    sector of a degree can be read off its signature.
+    """
+    reps = pres._residue_reps.get(face_id)
+    if reps is None:
+        reps = la.torsion_coset_reps(pres.face_quotient(face_id))
+        pres._residue_reps[face_id] = reps
+    return reps
+
+
+def _key_bits(pres: ToricPresentation) -> tuple:
+    """The table-path key layout: (face id, first bit, residue reps) per
+    proper face, by face id, with one bit per residue representative."""
+    if pres._key_bits is None:
+        layout, offset = [], 0
+        for face in pres.face_lattice.faces:
+            if face.face_id != pres.face_lattice.top_id:
+                reps = face_residue_reps(pres, face.face_id)
+                layout.append((face.face_id, offset, reps))
+                offset += len(reps)
+        pres._key_bits = tuple(layout)
+    return pres._key_bits
+
+
+def _table_keys(pres: ToricPresentation, prefix, last: int, lo: int, hi: int) -> list:
+    """The table-path keys of the degrees prefix + (x + last,), lo <= x < hi.
+
+    A face's bits can be set only where the values F_s = base + slope * x
+    of all its facets are nonnegative, an interval of x.  The face's table
+    is grown once, to the largest values there, and a - r is a member iff
+    its table key, the facet values (F_s(r) = 0) and the torsion residues
+    (t0 - t(r) + dt * x) mod m, is in the table."""
+    keys = [0] * (hi - lo)
+    for face_id, offset, reps in _key_bits(pres):
+        start, stop, lines = lo, hi, []
+        for s in pres._zero_facet_ids[face_id]:
+            coefficients = pres.supports[s].coefficients
+            slope = coefficients[-1]
+            base = sum(map(mul, coefficients, prefix)) + slope * last
+            if slope > 0:
+                start = max(start, -(base // slope))
+            elif slope < 0:
+                stop = min(stop, base // -slope + 1)
+            elif base < 0:
+                stop = start
+            lines.append((base, slope))
+        if start >= stop:
+            continue
+        tbl = pres._grown_table(face_id, [
+            max(base + slope * start, base + slope * (stop - 1)) for base, slope in lines])
+        xs = range(start, stop)
+        vals = [[base + slope * x for x in xs] for base, slope in lines]
+        for bit, rep in enumerate(reps, offset):
+            residues = [
+                [(t0 + c[-1] * x) % m for x in xs]
+                for c, m in tbl.torsion
+                for t0 in [sum(map(mul, c, prefix)) + c[-1] * last - la.dot(c, rep)]]
+            keys[start - lo:stop - lo] = [
+                key | 1 << bit if k in tbl.keys else key
+                for key, k in zip(keys[start - lo:stop - lo], zip(*vals, *residues))]
+    return keys
 
 
 def line_runs(pres: ToricPresentation, prefix, lo: int, hi: int, shift=None) -> list:
@@ -581,14 +645,20 @@ def line_runs(pres: ToricPresentation, prefix, lo: int, hi: int, shift=None) -> 
     the same answer to every fast-path question.  Along the line
     F_s = base + slope * x, so bit s toggles only at the sign threshold and
     at x and x + 1 for an x where F_s is a gap; toggles at one x are XORed,
-    and an x where they cancel starts no run.  On the table path the key is
-    the degree itself, one run per x."""
+    and an x where they cancel starts no run.  On the table path the key
+    has one bit per proper face F and residue representative r (_key_bits),
+    set iff a - r lies in the semigroup + ZF, every table-path answer; the
+    bits of a line are read off the tables (_table_keys)."""
     last = 0
     if shift is not None:
         # map and the dot products below stop at the end of the prefix
         prefix, last = tuple(map(add, prefix, shift)), shift[-1]
     if pres.fast_path is None:
-        return [(x, prefix + (x + last,)) for x in range(lo, hi)]
+        runs = []
+        for x, key in enumerate(_table_keys(pres, prefix, last, lo, hi), lo):
+            if not runs or key != runs[-1][1]:
+                runs.append((x, key))
+        return runs
     mask = 0
     toggles = {}
     for s in pres.supports:

@@ -281,8 +281,7 @@ def test_class_samples_distinct_and_led_by_representative(name):
 
 @pytest.mark.parametrize("name", ["dim1_weyl", "dim2_nonscored", "dim3_hartshorne"])
 def test_class_scan_computes_each_signature_of_final_box_once(name, monkeypatch):
-    # fast paths: once per key of the final box, memoized on the presentation;
-    # table path: once per degree of the final box, with no memo
+    # every route: once per key of the final box, memoized on the presentation
     pres = ToricPresentation.build(CORPUS[name][0])
     signed = Counter()
     monkeypatch.setattr(
@@ -294,12 +293,8 @@ def test_class_scan_computes_each_signature_of_final_box_once(name, monkeypatch)
     keys = Counter(degree_key(pres, a) for a in signed.elements())
     assert max(keys.values()) == 1
     assert set(keys) == {degree_key(pres, a) for a in box}
-    if pres.fast_path is None:
-        assert sum(signed.values()) == len(box)
-        assert not pres._signatures
-    else:
-        assert len(signed) < len(box)
-        assert set(pres._signatures) == set(keys)
+    assert len(signed) < len(box)
+    assert set(pres._signatures) == set(keys)
     assert enum.classes == enumeration(name).classes
 
 

@@ -35,7 +35,7 @@ from toriclc import (
 from toriclc import intlinalg as la
 from toriclc import semigroups
 from toriclc.errors import FullLatticeRequired
-from toriclc.semigroups import _facet_box_points, line_runs
+from toriclc.semigroups import _facet_box_points, face_residue_reps, line_runs
 
 
 def test_numerical_semigroup_23():
@@ -149,12 +149,18 @@ PENTAGON_SCORED = [
 ]
 
 
+# perfbench/problems/table2d_a: no fast path, and both ray quotients have
+# torsion 3, so its tables step through the modular reduction
+TABLE2D_A = [[3, 0, 1, 2, 1, 2], [0, 3, 1, 1, 2, 2]]
+
+
 @cache
 def _keyed(name):
-    """Presentation, ideal and class enumeration of a corpus problem or of
-    the scored pentagon; enumerating fills the presentation's signature memo."""
-    if name == "pentagon_scored":
-        pres = ToricPresentation.build(PENTAGON_SCORED)
+    """Presentation, ideal and class enumeration of a corpus problem, the
+    scored pentagon or table2d_a; enumerating fills the presentation's
+    signature memo."""
+    if name in ("pentagon_scored", "table2d_a"):
+        pres = ToricPresentation.build(PENTAGON_SCORED if name == "pentagon_scored" else TABLE2D_A)
         return pres, MonomialIdeal.maximal_ideal(pres), enumerate_classes(pres)
     pres, spec = presentation(name), CORPUS[name][1]
     ideal = (MonomialIdeal.maximal_ideal(pres) if spec == "maximal"
@@ -162,12 +168,20 @@ def _keyed(name):
     return pres, ideal, enumeration(name)
 
 
+@cache
 def _reference_key(pres, a):
-    """A degree's key from its own facet values, one degree at a time: the
-    mask of the facets whose value is negative (route normal) or outside
-    the facet numerical semigroup (route scored)."""
+    """A degree's key, one degree at a time.  On a fast path, from its own
+    facet values: the mask of the facets whose value is negative (route
+    normal) or outside the facet numerical semigroup (route scored).  On
+    the table path, from the depth-first oracle: one bit per proper face,
+    by face id, and residue representative r, set iff a - r lies in the
+    face's localization."""
     if pres.fast_path is None:
-        return a
+        bits = [
+            face_membership_search(pres, la.vsub(a, rep), face.face_id, search_bound=100)
+            for face in pres.face_lattice.faces if face.face_id != pres.face_lattice.top_id
+            for rep in face_residue_reps(pres, face.face_id)]
+        return sum(1 << i for i, bit in enumerate(bits) if bit)
     return sum(
         1 << s for s, v in enumerate(pres.facet_values(a))
         if (v < 0 if pres.fast_path == "normal" else v not in pres.facet_semigroup(s)))
@@ -179,11 +193,12 @@ def _run_keys(runs, hi):
     return [key for (start, key), end in zip(runs, ends) for _ in range(start, end)]
 
 
-@pytest.mark.parametrize("name", [*sorted(CORPUS), "pentagon_scored"])
+@pytest.mark.parametrize("name", [*sorted(CORPUS), "pentagon_scored", "table2d_a"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_line_runs_match_reference_keys(name, data):
-    # every route, with the scored pentagon's nonzero conductors: the runs
+    # every route, with the scored pentagon's nonzero conductors and the
+    # torsion of table2d_a's ray quotients on the table path: the runs
     # expand to each degree's own key, start at lo, strictly increase and
     # change key at every start; the one-degree mask agrees with them
     pres = _keyed(name)[0]
@@ -246,9 +261,7 @@ def test_localization_faces_match_search_and_residues(name, data):
         assert localization_faces(pres, b, faces) == present
         assert [module_support(pres, ideal, k, b) for k in range(len(ranks))] == \
             [r > 0 for r in ranks]
-        if pres.fast_path is None:
-            assert not pres._signatures
-        elif max(map(abs, b)) <= enum.radius:
+        if max(map(abs, b)) <= enum.radius:
             assert pres._signatures[key].residues == residues
 
 
@@ -552,11 +565,10 @@ def _brute_membership(pres, a, coeff_cap=12):
     return False
 
 
-def _reference_table_members(tbl) -> dict:
-    """The member states of a built table, with their facet values, from a
-    breadth-first closure that carries a lift per state and projects the
-    lift plus each move."""
-    quot = tbl.quotient
+def _reference_table_members(tbl, quot) -> dict:
+    """The member states of a built table in its face quotient, with their
+    facet values, from a breadth-first closure that carries a lift per
+    state and projects the lift plus each move."""
     zero = la.zero_vector(quot.ambient_rank)
     origin = quot.project(zero)
     members = {origin: (0,) * len(tbl.relevant)}
@@ -577,11 +589,6 @@ def _reference_table_members(tbl) -> dict:
                     nxt.append(new_state)
         frontier = nxt
     return members
-
-
-# perfbench/problems/table2d_a: no fast path, and both ray quotients have
-# torsion 3, so its tables step through the modular reduction
-TABLE2D_A = [[3, 0, 1, 2, 1, 2], [0, 3, 1, 1, 2, 2]]
 
 
 def test_membership_routes_agree_on_random_presentations():
@@ -621,7 +628,14 @@ def test_membership_routes_agree_on_random_presentations():
                     assert pres._table_membership(a, f) == expected, (rows, a, f)
         assert pres._tables
         for f, tbl in pres._tables.items():
-            assert tbl.members == _reference_table_members(tbl), (rows, f)
+            # a state's table key is its facet values and torsion residues;
+            # the facet values fix the free part, so the map is injective
+            quot = pres.face_quotient(f)
+            members = _reference_table_members(tbl, quot)
+            keys = {vals + tuple(x for x, m in zip(state, quot._moduli) if m >= 2)
+                    for state, vals in members.items()}
+            assert len(keys) == len(members), (rows, f)
+            assert tbl.keys == keys, (rows, f)
 
 
 def test_build_validates_options():
