@@ -27,6 +27,8 @@ presentation.
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 
 from . import intlinalg as la
@@ -216,19 +218,22 @@ def class_poset(classes) -> ClassPoset:
                         f"distinct classes {a.class_id}, {b.class_id} share a signature"
                     )
                 below.append((a.class_id, b.class_id))
-    below_set = set(below)
-    remaining = {c.class_id for c in classes}
+    # take the smallest id among the classes with no strict upper left,
+    # counting each class's remaining uppers once; ready stays sorted
+    uppers = Counter(lo for lo, _ in below)
+    lowers = {}
+    for lo, hi in below:
+        lowers.setdefault(hi, []).append(lo)
+    ready = sorted(c.class_id for c in classes if not uppers[c.class_id])
     extension = []
-    while remaining:
-        ready = sorted(
-            cid for cid in remaining
-            if not any((cid, other) in below_set for other in remaining)
-        )
-        if not ready:
-            raise CycleDetected("no maximal class among the remaining ones")
-        chosen = ready[0]
-        extension.append(chosen)
-        remaining.remove(chosen)
+    while ready:
+        extension.append(ready.pop(0))
+        for lo in lowers.get(extension[-1], ()):
+            uppers[lo] -= 1
+            if not uppers[lo]:
+                insort(ready, lo)
+    if len(extension) < len(classes):
+        raise CycleDetected("no maximal class among the remaining ones")
     return ClassPoset(tuple(sorted(below)), tuple(extension))
 
 

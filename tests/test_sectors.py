@@ -231,6 +231,27 @@ def test_class_poset_2dim_order():
     ]
 
 
+def _rescan_extension(classes, below):
+    """The linear extension by rescanning: the smallest id among the
+    remaining classes with no remaining strict upper, one at a time."""
+    below, remaining, out = set(below), {c.class_id for c in classes}, []
+    while remaining:
+        out.append(min(cid for cid in remaining
+                       if not any((cid, other) in below for other in remaining)))
+        remaining.remove(out[-1])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_class_poset_extension_matches_rescan(name):
+    classes = enumeration(name).classes
+    poset = class_poset(classes)
+    assert poset.linear_extension == _rescan_extension(classes, poset.strictly_below)
+    assert sorted(poset.strictly_below) == sorted(
+        (a.class_id, b.class_id) for a in classes for b in classes
+        if a is not b and signature_leq(a.signature, b.signature))
+
+
 def test_single_class_trivial_order():
     from toriclc.sectors import EquivClass, Signature
 
