@@ -201,7 +201,7 @@ class ToricPresentation:
         self._cech_tables = {}
         self._present_by_key = {}
         self._signatures = {}
-        self._key_bits = None
+        self._key_layout = None
         # grading's generator monomials and exponent-map checks, on first use
         self._exponent_map = None
         self._zero_facet_masks = ()
@@ -581,15 +581,15 @@ def face_residue_reps(pres: ToricPresentation, face_id: int) -> tuple:
 def _key_bits(pres: ToricPresentation) -> tuple:
     """The table-path key layout: (face id, first bit, residue reps) per
     proper face, by face id, with one bit per residue representative."""
-    if pres._key_bits is None:
+    if pres._key_layout is None:
         layout, offset = [], 0
         for face in pres.face_lattice.faces:
             if face.face_id != pres.face_lattice.top_id:
                 reps = face_residue_reps(pres, face.face_id)
                 layout.append((face.face_id, offset, reps))
                 offset += len(reps)
-        pres._key_bits = tuple(layout)
-    return pres._key_bits
+        pres._key_layout = tuple(layout)
+    return pres._key_layout
 
 
 def _table_keys(pres: ToricPresentation, prefix, last: int, lo: int, hi: int) -> list:
