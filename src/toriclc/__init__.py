@@ -33,7 +33,6 @@ from .intlinalg import (
     Sublattice,
     hermite_normal_form,
     quotient,
-    saturate,
     smith_normal_form,
     torsion_coset_reps,
 )
@@ -41,14 +40,10 @@ from .cones import Face, FaceLattice, SupportFunction, facet_support_functions
 from .semigroups import (
     NumericalSemigroup,
     ToricPresentation,
-    escape_count,
     face_membership_search,
-    in_escape_set,
     in_face_localization,
-    in_monomial_localization,
     in_semigroup,
     localization_faces,
-    monomial_localization_witness,
     numerical_semigroup,
     smallest_containing_face,
 )
@@ -65,7 +60,6 @@ from .sectors import (
     sector_faces,
     sector_inventory,
     signature_leq,
-    signatures_equiv,
 )
 from .cohomology import (
     GradedModuleDescription,

@@ -16,7 +16,7 @@ signature classes.  Slice ranks are therefore memoized once per ideal,
 keyed by the set of joins whose support contains the degree, so the
 memo holds at most 2^#faces entries however many degrees are asked.
 That key comes from one localization_faces call per degree, which reads
-the faces off the degree's key (semigroups.line_runs), memoized per key.
+the faces off the decode of the degree's key (semigroups.key_residues).
 A socle probe walks its box once for all the cohomological degrees it is
 given, a run of constant key at a time, and memoizes Cech ranks by key.
 Assembly evaluates one representative per class and cross-checks

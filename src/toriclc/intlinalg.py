@@ -344,19 +344,6 @@ class Sublattice:
         vinv = unimodular_inverse(v)
         return Sublattice.from_vectors(self.ambient_rank, vinv[:r])
 
-    def saturation_index(self) -> int:
-        """Index of this lattice inside its saturation."""
-        r = self.rank
-        if r == 0:
-            return 1
-        sat = self.saturation()
-        c = mat(lattice_solve(sat.basis, b) for b in self.basis)
-        return abs(det(c))
-
-
-def saturate(lattice: Sublattice) -> Sublattice:
-    return lattice.saturation()
-
 
 @dataclass(frozen=True)
 class QuotientGroup:

@@ -21,8 +21,9 @@ line at a time, and each line a run of constant key at a time
 (semigroups.line_runs).  A degree enters only through its key: on the
 normal and scored fast paths the mask of the facets failing the route's
 test, on the table path its membership bit per face and residue.  So a
-run is signed once and signatures are memoized per key on the
-presentation.
+degree's signature is decoded from its key (semigroups.key_residues),
+memoized per key on the presentation, and the class scan collects keys,
+decoding one per class.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ from . import intlinalg as la
 from .errors import CycleDetected
 from .semigroups import (
     ToricPresentation,
+    degree_key,
     face_residue_reps,
     in_face_localization,
+    key_residues,
     line_runs,
     localization_faces,
     scan_lines,
@@ -54,12 +57,6 @@ def signature_leq(a: Signature, b: Signature) -> bool:
     return all(x <= y for x, y in zip(a.residues, b.residues))
 
 
-def signatures_equiv(a: Signature, b: Signature) -> bool:
-    """Mutual face-wise inclusion; coincides with equality because
-    signatures are stored canonically."""
-    return signature_leq(a, b) and signature_leq(b, a)
-
-
 def face_residues(pres: ToricPresentation, a, face_id: int) -> frozenset:
     """Residue indices l with a - l in the face-translated semigroup."""
     a = la.vec(a)
@@ -71,20 +68,8 @@ def face_residues(pres: ToricPresentation, a, face_id: int) -> frozenset:
 
 
 def degree_signature(pres: ToricPresentation, a) -> Signature:
-    """Per-face residue sets of the degree: residue 0 of every face comes
-    from one localization_faces call, and only the nonzero torsion
-    representatives are asked face by face."""
-    a = la.vec(a)
-    face_ids = range(len(pres.face_lattice))
-    present = localization_faces(pres, a, face_ids)
-    return Signature(tuple(
-        frozenset(
-            i for i, rep in enumerate(face_residue_reps(pres, fid))
-            if (fid in present if i == 0
-                else in_face_localization(pres, la.vsub(a, rep), fid))
-        )
-        for fid in face_ids
-    ))
+    """Per-face residue sets of the degree, decoded from its key."""
+    return Signature(key_residues(pres, degree_key(pres, a)))
 
 
 def sector_of_signature(sig: Signature) -> frozenset:
@@ -147,18 +132,17 @@ def enumerate_classes(pres: ToricPresentation, *, initial_radius=None,
     Each growth step signs only the shell of points outside the previous
     box, a scan line at a time: earlier steps already covered the inner
     points, so they can add no class and no sample.  A line is walked by
-    its runs of constant key (semigroups.line_runs), and a run is signed
-    once, at its first degree, and gives its first degrees as samples.  The
-    signature is looked up by the run's key in a per-presentation memo, and
-    degree_signature runs once per new key.
+    its runs of constant key (semigroups.line_runs), and a run gives its
+    first degrees as samples of its key.  Distinct keys decode to distinct
+    signatures on every route, so the classes are the keys found, and each
+    class's signature is decoded once, at the end (key_residues).
     Stops once STABLE_STEPS consecutive growths add no new signature.
     Class ids are assigned in order of first discovery under a
     lexicographic scan of each shell, so results are deterministic.
     """
     pres._require_pointed()
     radius = initial_radius if initial_radius else default_initial_radius(pres)
-    memo = pres._signatures
-    samples = {}  # signature -> sample degrees, representative first
+    samples = {}  # key -> sample degrees, representative first
     history = []
     inner = -1    # radius of the box already scanned
     stable = 0
@@ -168,12 +152,9 @@ def enumerate_classes(pres: ToricPresentation, *, initial_radius=None,
             for lo, hi in segments:
                 runs = line_runs(pres, prefix, lo, hi)
                 for (start, key), (end, _) in zip(runs, [*runs[1:], (hi, None)]):
-                    sig = memo.get(key)
-                    if sig is None:
-                        sig = memo[key] = degree_signature(pres, prefix + (start,))
-                    pts = samples.get(sig)
+                    pts = samples.get(key)
                     if pts is None:
-                        pts = samples[sig] = []
+                        pts = samples[key] = []
                         new_found += 1
                     if len(pts) < samples_per_class:
                         stop = min(end, start + samples_per_class - len(pts))
@@ -183,6 +164,7 @@ def enumerate_classes(pres: ToricPresentation, *, initial_radius=None,
         if stable >= STABLE_STEPS:
             break
         inner, radius = radius, radius * GROWTH
+    signatures = [Signature(key_residues(pres, key)) for key in samples]
     classes = tuple(
         EquivClass(
             class_id=i,
@@ -191,7 +173,7 @@ def enumerate_classes(pres: ToricPresentation, *, initial_radius=None,
             sector=sector_of_signature(sig),
             samples=la.mat(pts),
         )
-        for i, (sig, pts) in enumerate(samples.items())
+        for i, (sig, pts) in enumerate(zip(signatures, samples.values()))
     )
     return ClassEnumeration(classes, radius, tuple(history))
 

@@ -39,8 +39,10 @@ beside the few degrees where its value is a gap.  On the table path the
 key holds one membership bit per proper face and residue representative,
 read off tables keyed by facet values and torsion residues.  One line
 kernel (line_runs) cuts a line into maximal runs of constant key on every
-route; the class scan and socle probes walk their boxes a run at a time,
-and the answers are memoized per key.
+route; the class scan and socle probes walk their boxes a run at a time.
+One decode (key_residues), memoized per key on the presentation, turns a
+key into its residue sets per face, the signature, from which the faces
+present are read.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ from .cones import (
     matrix_columns,
 )
 from .errors import (
-    DimensionUnsupported,
     FullLatticeRequired,
     GeneratorNotInSemigroup,
     NotPointed,
@@ -199,8 +200,7 @@ class ToricPresentation:
         self._tables = {}
         self._residue_reps = {}
         self._cech_tables = {}
-        self._present_by_key = {}
-        self._signatures = {}
+        self._residues_by_key = {}
         self._key_layout = None
         # grading's generator monomials and exponent-map checks, on first use
         self._exponent_map = None
@@ -404,19 +404,11 @@ def _failing_facets(pres: ToricPresentation, route: str, a) -> int:
 
 def localization_faces(pres: ToricPresentation, a, face_ids) -> frozenset:
     """The faces among face_ids whose localization (semigroup + group of the
-    face) contains the degree, read off the degree's key (see line_runs)
-    and memoized per key: on a fast path a face is present iff its
-    zero-facet mask misses the key, on the table path iff the key holds the
-    bit of its zero residue."""
+    face) contains the degree: those that hold residue 0 in the decode of
+    the degree's key (key_residues)."""
     pres._require_pointed()
-    key = degree_key(pres, a)
-    present = pres._present_by_key.get(key)
-    if present is None:
-        present = pres._present_by_key[key] = frozenset(
-            (pres.face_lattice.top_id, *(f for f, bit, _ in _key_bits(pres) if key >> bit & 1))
-            if pres.fast_path is None else
-            (f for f, mask in enumerate(pres._zero_facet_masks) if not mask & key))
-    return present.intersection(face_ids)
+    residues = key_residues(pres, degree_key(pres, a))
+    return frozenset(f for f in face_ids if 0 in residues[f])
 
 
 def in_semigroup(pres: ToricPresentation, a) -> bool:
@@ -510,56 +502,6 @@ def smallest_containing_face(pres: ToricPresentation, b) -> int:
         s.facet_id for s in pres.supports if s.value(b) == 0
     )
     return pres.face_lattice.face_id_by_zero_facets(zero)
-
-
-def in_monomial_localization(pres: ToricPresentation, a, b) -> bool:
-    """True iff a + m*b lies in the semigroup for some m >= 0.
-
-    Inverting the monomial of degree b inverts exactly the smallest face
-    containing b, so this equals membership in the semigroup translated by
-    that face's group; the equivalence makes the test exact with no search
-    over m.
-    """
-    return in_face_localization(pres, a, smallest_containing_face(pres, b))
-
-
-def monomial_localization_witness(pres: ToricPresentation, a, b,
-                                  *, limit: int = 10000):
-    """Smallest m with a + m*b in the semigroup, or None when no m exists."""
-    if not in_monomial_localization(pres, a, b):
-        return None
-    a = la.vec(a)
-    b = la.vec(b)
-    m = 0
-    cur = a
-    while not in_semigroup(pres, cur):
-        cur = la.vadd(cur, b)
-        m += 1
-        if m > limit:
-            raise SearchBoundExceeded(f"no witness below {limit}")
-    return m
-
-
-def in_escape_set(pres: ToricPresentation, x, shift) -> bool:
-    """Whether x lies in the semigroup but leaves it after translating by
-    shift.  This is the membership predicate behind escape_count and is the
-    only view of the escape set available above dimension one, where the
-    set itself is usually infinite."""
-    x = la.vec(x)
-    return in_semigroup(pres, x) and not in_semigroup(pres, la.vadd(x, la.vec(shift)))
-
-
-def escape_count(pres: ToricPresentation, shift) -> int:
-    """Number of semigroup elements x with x + shift outside the semigroup.
-
-    Only defined in ambient dimension one, where the count is finite; the
-    facet numerical semigroup makes the enumeration exact.
-    """
-    if pres.dim != 1:
-        raise DimensionUnsupported("escape counts are only finite for dim 1")
-    pres._require_pointed()
-    shift = la.vec(shift) if not isinstance(shift, int) else (shift,)
-    return pres.facet_semigroup(0).escape_count(pres.supports[0].value(shift))
 
 
 # -- per-degree keys ----------------------------------------------------------
@@ -690,6 +632,28 @@ def degree_key(pres: ToricPresentation, a):
     """The key of one degree, as line_runs gives it."""
     a = la.vec(a)
     return line_runs(pres, a[:-1], a[-1], a[-1] + 1)[0][1]
+
+
+def key_residues(pres: ToricPresentation, key) -> tuple:
+    """Per face, by face id, the frozenset of residue indices i with a - r_i
+    in the face's localization, for every degree a of the key, memoized per
+    key.  On the table path these are the key's bits, and the full cone
+    holds the zero residue alone.  On a fast path every r_i lies in its
+    face's span, so a face holds all its residues if its zero-facet mask
+    misses the key and none otherwise (see line_runs)."""
+    residues = pres._residues_by_key.get(key)
+    if residues is None:
+        if pres.fast_path is None:
+            residues = [frozenset((0,))] * len(pres.face_lattice)
+            for face_id, offset, reps in _key_bits(pres):
+                residues[face_id] = frozenset(
+                    i for i in range(len(reps)) if key >> offset + i & 1)
+        else:
+            residues = [
+                frozenset(() if mask & key else range(len(face_residue_reps(pres, f))))
+                for f, mask in enumerate(pres._zero_facet_masks)]
+        residues = pres._residues_by_key[key] = tuple(residues)
+    return residues
 
 
 def scan_lines(dim: int, radius: int, inner: int = -1):

@@ -471,19 +471,15 @@ def test_cech_ranks_hit_queries_faces_and_builds_nothing(monkeypatch):
     assert len(slices) == 1
 
 
-def test_socle_probe_computes_failing_facets_once_per_degree(monkeypatch):
-    # the key of a degree is its failing-facet mask, read off a scan line at
-    # a time; the faces present are memoized per key straight from it, with
-    # no second facet pass, so the probe never asks _failing_facets
+def test_socle_probe_asks_cech_ranks_once_per_key(monkeypatch):
+    # the probe asks cech_ranks at most once per degree key, and the faces
+    # present are read off the per-key decode, whose memo then holds those
+    # keys and the one of the degree that built the per-ideal table
     pres = ToricPresentation.build(CORPUS["dim3_hartshorne"][0])
     assert pres.fast_path == "normal"
     ideal = MonomialIdeal.from_degrees(pres, CORPUS["dim3_hartshorne"][1])
     cech_ranks(pres, ideal, (0, 0, 0))  # builds the per-ideal table first
-    failing, asked, slices = [], [], []
-    failing_facets = semigroups._failing_facets
-    monkeypatch.setattr(
-        semigroups, "_failing_facets",
-        lambda p, route, a: failing.append(tuple(a)) or failing_facets(p, route, a))
+    asked, slices = [], []
     monkeypatch.setattr(
         cohomology, "cech_ranks",
         lambda p, i, a: asked.append(tuple(a)) or cech_ranks(p, i, a))
@@ -492,9 +488,9 @@ def test_socle_probe_computes_failing_facets_once_per_degree(monkeypatch):
         lambda p, i, a: slices.append(tuple(a)) or cech_slice(p, i, a))
     (probe,) = socle_probe(pres, ideal, [2], [5])
     assert probe.counts == ((5, 6),)
-    assert not failing
-    keys = {semigroups.degree_key(pres, a) for a in asked}
-    assert set(pres._present_by_key) == keys | {semigroups.degree_key(pres, (0, 0, 0))}
+    keys = Counter(semigroups.degree_key(pres, a) for a in asked)
+    assert max(keys.values()) == 1
+    assert set(pres._residues_by_key) == set(keys) | {semigroups.degree_key(pres, (0, 0, 0))}
     # one slice per new memo entry; the entry for (0, 0, 0) was already there
     table = pres._cech_tables[ideal.generator_degrees]
     assert len(slices) == len(table.ranks) - 1

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from conftest import CORPUS, enumeration, presentation
-from test_semigroups import PENTAGON_SCORED
+from test_semigroups import PENTAGON_SCORED, _keyed
 
 from toriclc import (
     ToricPresentation,
@@ -17,9 +17,13 @@ from toriclc import (
     sector_inventory,
     signature_leq,
 )
-from toriclc import sectors
+from toriclc import sectors, semigroups
 from toriclc.sectors import face_residue_reps
-from toriclc.semigroups import degree_key
+from toriclc.semigroups import degree_key, key_residues, line_runs, scan_lines
+
+# every route: the corpus, the scored pentagon's nonzero conductors and
+# table2d_a's torsion on the table path
+ROUTES = [*sorted(CORPUS), "pentagon_scored", "table2d_a"]
 
 
 def _facet_face(pres, coefficients):
@@ -269,17 +273,6 @@ def test_cyclic_witness_small(pres_2dim):
             assert degree_signature(pres_2dim, (-m * b[0], -m * b[1])) == base
 
 
-def test_signatures_equiv_is_equality():
-    from toriclc import signatures_equiv
-
-    pres = presentation("dim2_scored_nonnormal")
-    pts = [(0, 0), (-1, 0), (1, 2), (-2, -3), (2, 2)]
-    for a in pts:
-        for b in pts:
-            sa, sb = degree_signature(pres, a), degree_signature(pres, b)
-            assert signatures_equiv(sa, sb) == (sa == sb)
-
-
 def test_class_representative_signature_consistency():
     for name in ("dim2_normal", "dim2_nonscored", "dim3_hartshorne"):
         pres = presentation(name)
@@ -302,21 +295,72 @@ def test_class_samples_distinct_and_led_by_representative(name):
 
 @pytest.mark.parametrize("name", ["dim1_weyl", "dim2_nonscored", "dim3_hartshorne"])
 def test_class_scan_computes_each_signature_of_final_box_once(name, monkeypatch):
-    # every route: once per key of the final box, memoized on the presentation
+    # every route: the scan collects the keys of the final box and decodes
+    # each once, for its class, in class order; the per-key memo holds
+    # exactly those keys
     pres = ToricPresentation.build(CORPUS[name][0])
-    signed = Counter()
+    decoded = Counter()
     monkeypatch.setattr(
-        sectors, "degree_signature",
-        lambda p, a: signed.update([a]) or degree_signature(p, a))
+        sectors, "key_residues",
+        lambda p, key: decoded.update([key]) or key_residues(p, key))
     enum = sectors.enumerate_classes(pres)
     r = enum.radius
     box = list(product(range(-r, r + 1), repeat=pres.dim))
-    keys = Counter(degree_key(pres, a) for a in signed.elements())
-    assert max(keys.values()) == 1
-    assert set(keys) == {degree_key(pres, a) for a in box}
-    assert len(signed) < len(box)
-    assert set(pres._signatures) == set(keys)
+    keys = {degree_key(pres, a) for a in box}
+    assert max(decoded.values()) == 1
+    assert set(decoded) == keys
+    assert len(decoded) == len(enum.classes) < len(box)
+    assert set(pres._residues_by_key) == keys
+    assert [c.signature.residues for c in enum.classes] == [
+        key_residues(pres, key) for key in decoded]
     assert enum.classes == enumeration(name).classes
+
+
+def _final_box_keys(pres, radius):
+    """The first degree of every key on the centered box of the radius."""
+    firsts = {}
+    for prefix, segments in scan_lines(pres.dim, radius):
+        for lo, hi in segments:
+            for start, key in line_runs(pres, prefix, lo, hi):
+                firsts.setdefault(key, prefix + (start,))
+    return firsts
+
+
+@pytest.mark.parametrize("name", ROUTES)
+def test_final_box_keys_decode_to_distinct_signatures(name):
+    # the class scan counts keys as classes: on every route, distinct keys
+    # of the final box decode to distinct signatures, each the per-query
+    # residue sets at a degree of the key
+    pres, _, enum = _keyed(name)
+    firsts = _final_box_keys(pres, enum.radius)
+    faces = range(len(pres.face_lattice))
+    signatures = {key: key_residues(pres, key) for key in firsts}
+    assert len(set(signatures.values())) == len(firsts) == len(enum.classes)
+    for key, a in firsts.items():
+        assert signatures[key] == tuple(face_residues(pres, a, f) for f in faces), a
+
+
+@pytest.mark.parametrize("name", ROUTES)
+def test_class_scan_and_degree_signature_ask_no_membership(name, monkeypatch):
+    # the scan and degree_signature read every answer off keys: no
+    # per-residue membership query, through the oracle or a table lookup
+    pres = ToricPresentation.build(_keyed(name)[0].matrix)
+    asked = []
+    oracle = semigroups.in_face_localization
+    for module in (semigroups, sectors):
+        monkeypatch.setattr(
+            module, "in_face_localization",
+            lambda p, a, f: asked.append((a, f)) or oracle(p, a, f))
+    table_membership = ToricPresentation._table_membership
+    monkeypatch.setattr(
+        ToricPresentation, "_table_membership",
+        lambda p, a, f: asked.append((a, f)) or table_membership(p, a, f))
+    enum = sectors.enumerate_classes(pres)
+    for cls in enum.classes:
+        assert all(degree_signature(pres, a) == cls.signature for a in cls.samples)
+    for a in product(range(-3, 4), repeat=pres.dim):
+        degree_signature(pres, a)
+    assert not asked
 
 
 def test_signature_partition_strictly_refines_sectors_with_torsion():

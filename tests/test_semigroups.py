@@ -10,6 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS, enumeration, presentation, reference_cech_ranks
+from oracles import (
+    escape_count,
+    in_escape_set,
+    in_monomial_localization,
+    monomial_localization_witness,
+)
 
 from toriclc import (
     DimensionUnsupported,
@@ -19,16 +25,12 @@ from toriclc import (
     ToricPresentation,
     degree_signature,
     enumerate_classes,
-    escape_count,
     face_membership_search,
     face_residues,
-    in_escape_set,
     in_face_localization,
-    in_monomial_localization,
     in_semigroup,
     localization_faces,
     module_support,
-    monomial_localization_witness,
     numerical_semigroup,
     smallest_containing_face,
 )
@@ -157,8 +159,7 @@ TABLE2D_A = [[3, 0, 1, 2, 1, 2], [0, 3, 1, 1, 2, 2]]
 @cache
 def _keyed(name):
     """Presentation, ideal and class enumeration of a corpus problem, the
-    scored pentagon or table2d_a; enumerating fills the presentation's
-    signature memo."""
+    scored pentagon or table2d_a."""
     if name in ("pentagon_scored", "table2d_a"):
         pres = ToricPresentation.build(PENTAGON_SCORED if name == "pentagon_scored" else TABLE2D_A)
         return pres, MonomialIdeal.maximal_ideal(pres), enumerate_classes(pres)
@@ -232,10 +233,11 @@ def test_pentagon_scored_has_conductors():
 @given(data=st.data())
 def test_localization_faces_match_search_and_residues(name, data):
     # covers the normal, scored and table routes: the batched faces equal
-    # the depth-first oracle face by face, and the signature built on them
-    # equals the per-face residue sets; the default search bound (30) is
-    # too small for some Hartshorne degrees of this box, 100 covers all of it
-    pres, ideal, enum = _keyed(name)
+    # the depth-first oracle face by face, and the signature decoded from
+    # the key equals the per-face residue sets; the default search bound
+    # (30) is too small for some Hartshorne degrees of this box, 100 covers
+    # all of it
+    pres, ideal, _ = _keyed(name)
     a = data.draw(st.tuples(*[st.integers(-8, 8)] * pres.dim), label="degree")
     faces = [f.face_id for f in pres.face_lattice.faces]
     assert localization_faces(pres, a, faces) == frozenset(
@@ -244,7 +246,7 @@ def test_localization_faces_match_search_and_residues(name, data):
         face_residues(pres, a, f) for f in faces)
     # the runs of the scan line through a, translated by a column or not,
     # expand to every degree's own key; degrees sharing a key share every
-    # per-degree answer, and the answers memoized per key are those answers
+    # per-degree answer, and the key decodes to the per-query residue sets
     shift = data.draw(st.sampled_from([None, *pres.columns]), label="shift")
     lo, hi = a[-1] - 3, a[-1] + 4
     line = [a[:-1] + (x,) for x in range(lo, hi)]
@@ -261,8 +263,7 @@ def test_localization_faces_match_search_and_residues(name, data):
         assert localization_faces(pres, b, faces) == present
         assert [module_support(pres, ideal, k, b) for k in range(len(ranks))] == \
             [r > 0 for r in ranks]
-        if max(map(abs, b)) <= enum.radius:
-            assert pres._signatures[key].residues == residues
+        assert semigroups.key_residues(pres, key) == residues
 
 
 def test_dfs_agrees_off_box(pres_2dim):
