@@ -8,7 +8,7 @@ entry points:
   * ToricPresentation.build(rows)      -- matrix, cone, flags
   * enumerate_classes / class_poset    -- signature classes and their order
   * assemble_module / socle_probe      -- local cohomology as class pieces
-  * theta_exponent / fiber_at_origin / char_variety_max
+  * theta_exponents / fiber_at_origin / char_variety_max
                                        -- graded-ring exponent data
 """
 
@@ -40,7 +40,6 @@ from .cones import Face, FaceLattice, SupportFunction, facet_support_functions
 from .semigroups import (
     NumericalSemigroup,
     ToricPresentation,
-    face_membership_search,
     in_face_localization,
     in_semigroup,
     localization_faces,
@@ -83,7 +82,6 @@ from .grading import (
     gr_generators_dim1,
     interior_degree,
     notcm_certificate,
-    theta_exponent,
     theta_exponents,
     verify_exponent_identities,
 )

@@ -182,7 +182,7 @@ def _run_grd(pres, echo):
     exponent_table = []
     if pres.scored:
         exponent_table = _exponent_table(pres)
-        identity_report = gr.verify_exponent_identities(pres, pairs=120)
+        identity_report = gr.verify_exponent_identities(pres)
     else:
         echo = dict(echo)
         echo["note"] = (

@@ -42,24 +42,16 @@ from .semigroups import (
 
 _RNG_SEED = 90125  # fixed so reports stay byte-identical across runs
 _EXPONENT_MAP_SAMPLES = 50
-
-
-def theta_exponent(pres: ToricPresentation, a, facet_id: int) -> int:
-    """Exponent of the facet operator at degree a.
-
-    Counts the elements x of the facet numerical semigroup N with
-    x + F(a) outside N; finite because everything beyond the conductor
-    stays inside.  Requires the scored flag.
-    """
-    if not pres.scored:
-        raise NotScored("facet exponents are defined for scored semigroups")
-    shift = pres.supports[facet_id].value(la.vec(a))
-    return pres.facet_semigroup(facet_id).escape_count(shift)
+_EXPONENT_IDENTITY_PAIRS = 120  # the fewest (degree, facet) pairs checked
 
 
 def theta_exponents(pres: ToricPresentation, a) -> tuple:
     """Exponents of every facet operator at degree a, from one evaluation
-    of its facet values."""
+    of its facet values.
+
+    The exponent of facet F counts the elements x of the facet numerical
+    semigroup N with x + F(a) outside N; finite because everything beyond
+    the conductor stays inside.  Requires the scored flag."""
     if not pres.scored:
         raise NotScored("facet exponents are defined for scored semigroups")
     return _exponents_at(_facet_semigroups(pres), pres.facet_values(la.vec(a)))
@@ -103,10 +95,9 @@ def _sample_degrees(pres: ToricPresentation, count: int, rng) -> list:
     ]
 
 
-def verify_exponent_identities(pres: ToricPresentation,
-                               *, pairs: int = 100) -> ExponentIdentityReport:
-    """Check the reflection identity and its four consequences on sampled
-    (degree, facet) pairs.
+def verify_exponent_identities(pres: ToricPresentation) -> ExponentIdentityReport:
+    """Check the reflection identity and its four consequences on at least
+    _EXPONENT_IDENTITY_PAIRS sampled (degree, facet) pairs.
 
     The identity: exponent at -a equals exponent at a plus the facet value
     of a.  Thresholds standing in for "large k" are conductor-derived:
@@ -116,7 +107,7 @@ def verify_exponent_identities(pres: ToricPresentation,
     if not pres.scored:
         raise NotScored("the exponent identities assume a scored semigroup")
     rng = random.Random(_RNG_SEED)
-    degrees = _sample_degrees(pres, max(1, pairs // len(pres.supports) + 1), rng)
+    degrees = _sample_degrees(pres, _EXPONENT_IDENTITY_PAIRS // len(pres.supports) + 1, rng)
     failures = []
     counts = {"reflection": 0, "subadditive_for_nonpositive": 0,
               "strict_drop_outside": 0, "member_gives_facet_value": 0,

@@ -1,4 +1,6 @@
-"""Exact integer linear algebra: normal forms, sublattices, quotient groups.
+"""Exact integer linear algebra: normal forms, sublattices, quotient groups,
+and coset representatives of a quotient's torsion, lifted from its Smith
+form.
 
 Everything works over Python's arbitrary-precision integers; no floating
 point enters any code path.  Vectors are tuples of ints and matrices are
@@ -70,11 +72,6 @@ def transpose(m: Matrix) -> Matrix:
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
-
-
-def vec_mat(v: Vector, m: Matrix) -> Vector:
-    """Row vector times matrix."""
-    return tuple(dot(v, col) for col in transpose(m))
 
 
 def _xgcd(a: int, b: int):
@@ -280,28 +277,6 @@ def det(m: Matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def lattice_solve(basis: Matrix, target: Vector):
-    """Integer x with x @ basis == target, or None if no such x exists."""
-    if not basis:
-        return () if is_zero_vector(target) else None
-    h, u = hermite_normal_form(basis)
-    rem = list(target)
-    y = [0] * len(h)
-    for i, row in enumerate(h):
-        p = next((j for j, e in enumerate(row) if e != 0), None)
-        if p is None:
-            break
-        if rem[p] % row[p] != 0:
-            return None
-        q = rem[p] // row[p]
-        y[i] = q
-        if q:
-            rem = [r - q * e for r, e in zip(rem, row)]
-    if any(rem):
-        return None
-    return vec_mat(tuple(y), u)
-
-
 def unimodular_inverse(m: Matrix) -> Matrix:
     """Exact inverse of a unimodular integer matrix."""
     h, u = hermite_normal_form(m)
@@ -329,20 +304,6 @@ class Sublattice:
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def contains(self, v: Vector) -> bool:
-        if not self.basis:
-            return is_zero_vector(v)
-        return lattice_solve(self.basis, v) is not None
-
-    def saturation(self) -> "Sublattice":
-        """The intersection of the rational span with the integer lattice."""
-        r = self.rank
-        if r == 0:
-            return self
-        _, _, v = smith_normal_form(self.basis)
-        vinv = unimodular_inverse(v)
-        return Sublattice.from_vectors(self.ambient_rank, vinv[:r])
 
 
 @dataclass(frozen=True)
@@ -390,26 +351,15 @@ def quotient(ambient_rank: int, lattice: Sublattice) -> QuotientGroup:
 
 
 def torsion_coset_reps(q: QuotientGroup) -> tuple:
-    """One representative per element of (saturation of L) / L.
+    """One representative per element of the torsion of Z^d / L, which is
+    (saturation of L) / L, by torsion coordinates in lexicographic order.
 
-    Every representative lies in the rational span of the defining
-    sublattice; the zero vector is always first.
+    The representative with coordinates k is the sum of k_j w_j, where w_j
+    is the row of the inverse coordinate matrix at coordinate j and k is
+    zero off the torsion coordinates: it projects to k, so it lies in the
+    rational span of L.  The zero vector is first.
     """
-    lat = q.lattice
-    d = q.ambient_rank
-    r = lat.rank
-    if r == 0:
-        return (zero_vector(d),)
-    sat = lat.saturation()
-    c = mat(lattice_solve(sat.basis, b) for b in lat.basis)
-    d_mat, _, v2 = smith_normal_form(c)
-    new_basis = matmul(unimodular_inverse(v2), sat.basis)
-    invariants = [d_mat[i][i] for i in range(r)]
-    reps = []
-    for ks in product(*(range(e) for e in invariants)):
-        w = zero_vector(d)
-        for k, row in zip(ks, new_basis):
-            if k:
-                w = vadd(w, vscale(k, row))
-        reps.append(w)
-    return tuple(reps)
+    inverse = unimodular_inverse(transpose(q._coord_columns))
+    return tuple(
+        tuple(sum(map(mul, ks, column)) for column in zip(*inverse))
+        for ks in product(*(range(max(m, 1)) for m in q._moduli)))

@@ -1,9 +1,11 @@
 """Signatures, equivalence classes and the sector partition.
 
 For a degree a and a face of the cone, the face residue set records which
-residue classes l of the saturation of the face group (modulo the face
-group itself) satisfy: a - l lies in the semigroup translated by the face
-group.  The per-face family of residue sets is the signature of a; degrees
+residue classes l of the saturation of the face group modulo the face
+group itself, the torsion of Z^d / ZF, satisfy: a - l lies in the
+semigroup translated by the face group.  Residue i is the class with the
+i-th torsion coordinates of Z^d / ZF in lexicographic order, zero first.
+The per-face family of residue sets is the signature of a; degrees
 compare by face-wise inclusion of residue sets, and degrees with equal
 signatures form the (finitely many) equivalence classes that index the
 composition factors of every graded module built from monomial
@@ -23,7 +25,8 @@ normal and scored fast paths the mask of the facets failing the route's
 test, on the table path its membership bit per face and residue.  So a
 degree's signature is decoded from its key (semigroups.key_residues),
 memoized per key on the presentation, and the class scan collects keys,
-decoding one per class.
+decoding one per class.  Only face_residues, the per-query reference,
+builds residue representative vectors.
 """
 
 from __future__ import annotations
@@ -58,7 +61,9 @@ def signature_leq(a: Signature, b: Signature) -> bool:
 
 
 def face_residues(pres: ToricPresentation, a, face_id: int) -> frozenset:
-    """Residue indices l with a - l in the face-translated semigroup."""
+    """Residue indices i with a - r_i in the face-translated semigroup, one
+    membership query per representative r_i (face_residue_reps): the
+    per-query reference for the decode of the degree's key."""
     a = la.vec(a)
     reps = face_residue_reps(pres, face_id)
     return frozenset(

@@ -16,9 +16,9 @@ face group) has facet-value partial sums trapped between 0 and the facet
 values of the degree itself, because the support functions are nonnegative
 on all columns.  A breadth-first closure of the quotient semigroup under a
 facet-value cap is therefore a complete decision procedure for every query
-whose values fit under the cap.  A depth-first solver with the same
-contract is kept as an independent oracle for cross-validation; the two
-must agree wherever both can answer.
+whose values fit under the cap.  The tests keep a depth-first solver with
+the same contract as an independent oracle; the two must agree wherever
+both can answer.
 
 Flags enable shortcuts: for a normal semigroup, membership in the
 semigroup translated by a face group reduces to sign checks of the support
@@ -35,13 +35,17 @@ localization contains the degree iff none of the face's facets is in the
 mask, so every shortcut answer depends on a degree only through it (the
 sector data of Helm-Miller's sector partition).  Along a scan line a
 facet's bit changes only at its sign threshold and, on the scored route,
-beside the few degrees where its value is a gap.  On the table path the
-key holds one membership bit per proper face and residue representative,
-read off tables keyed by facet values and torsion residues.  One line
-kernel (line_runs) cuts a line into maximal runs of constant key on every
-route; the class scan and socle probes walk their boxes a run at a time.
-One decode (key_residues), memoized per key on the presentation, turns a
-key into its residue sets per face, the signature, from which the faces
+beside the few degrees where its value is a gap.  A face's residues are
+the elements of the torsion of Z^d / ZF, indexed by their torsion
+coordinates in lexicographic order.  A shortcut runs only where every
+face quotient is torsion-free, so each face there has the zero residue
+alone.  On the table path the key holds one membership bit per proper
+face and residue, read off tables keyed by facet values and torsion
+coordinates, with no representative vectors.  One line kernel
+(line_runs) cuts a line into maximal runs of constant key on every route;
+the class scan and socle probes walk their boxes a run at a time.  One
+decode (key_residues), memoized per key on the presentation, turns a key
+into its residue sets per face, the signature, from which the faces
 present are read.
 """
 
@@ -322,7 +326,7 @@ class ToricPresentation:
     def _table_ceiling(self) -> dict:
         """Per-facet bound on table caps: the largest facet value reachable
         by a representation whose coefficients stay within the search bound,
-        mirroring the coefficient bound of the depth-first oracle."""
+        mirroring the coefficient bound of the tests' depth-first oracle."""
         out = {}
         for s in self.supports:
             colsum = sum(s.value(c) for c in self.columns)
@@ -430,68 +434,6 @@ def in_face_localization(pres: ToricPresentation, a, face_id: int) -> bool:
                    for s in pres._zero_facet_ids[face_id])
 
 
-def face_membership_search(pres: ToricPresentation, a, face_id: int,
-                           *, search_bound=None) -> bool:
-    """Depth-first feasibility search deciding the same membership as
-    in_face_localization, independent of the table path.
-
-    Prunes on negativity of the support functions of facets containing the
-    face; per-column coefficients are bounded by a strictly positive
-    functional on the quotient cone.  Raises SearchBoundExceeded when a
-    complete search would need a coefficient above the bound.
-    """
-    pres._require_pointed()
-    a = la.vec(a)
-    lattice = pres.face_lattice
-    if face_id == lattice.top_id:
-        return True
-    bound = search_bound if search_bound is not None else pres.search_bound
-    face = lattice.face(face_id)
-    relevant = pres._zero_facet_ids[face_id]
-    coeffs = [pres.supports[s].coefficients for s in relevant]
-    vals_a = [la.dot(c, a) for c in coeffs]
-    if any(v < 0 for v in vals_a):
-        return False
-    group = pres.face_group(face_id)
-    active = []
-    for i, col in enumerate(pres.columns):
-        if i in face.column_indices or la.is_zero_vector(col):
-            continue
-        w = sum(la.dot(c, col) for c in coeffs)
-        active.append((w, col))
-    active.sort(key=lambda t: (-t[0], t[1]))
-    w_a = sum(vals_a)
-    for w, _ in active:
-        if w_a // w > bound:
-            raise SearchBoundExceeded(
-                f"coefficient bound {w_a // w} exceeds search bound {bound}"
-            )
-    memo = {}
-
-    def search(rem, idx) -> bool:
-        key = (rem, idx)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        result = False
-        if all(la.dot(c, rem) >= 0 for c in coeffs):
-            if idx == len(active):
-                result = group.contains(rem)
-            else:
-                w, col = active[idx]
-                top = sum(la.dot(c, rem) for c in coeffs) // w
-                cur = rem
-                for _ in range(top + 1):
-                    if search(cur, idx + 1):
-                        result = True
-                        break
-                    cur = la.vsub(cur, col)
-        memo[key] = result
-        return result
-
-    return search(a, 0)
-
-
 def smallest_containing_face(pres: ToricPresentation, b) -> int:
     """Id of the smallest face of the cone containing a semigroup degree."""
     pres._require_pointed()
@@ -508,11 +450,10 @@ def smallest_containing_face(pres: ToricPresentation, b) -> int:
 
 
 def face_residue_reps(pres: ToricPresentation, face_id: int) -> tuple:
-    """Representatives of the residue classes available along one face.
-
-    The zero vector is always the representative with index 0, so the
-    sector of a degree can be read off its signature.
-    """
+    """Representatives of the residues of one face, the torsion of Z^d / ZF,
+    by torsion coordinates in lexicographic order, the order of the key
+    layout (_key_bits); the zero vector is first.  Only the per-query
+    reference route (sectors.face_residues) needs the vectors."""
     reps = pres._residue_reps.get(face_id)
     if reps is None:
         reps = la.torsion_coset_reps(pres.face_quotient(face_id))
@@ -521,15 +462,18 @@ def face_residue_reps(pres: ToricPresentation, face_id: int) -> tuple:
 
 
 def _key_bits(pres: ToricPresentation) -> tuple:
-    """The table-path key layout: (face id, first bit, residue reps) per
-    proper face, by face id, with one bit per residue representative."""
+    """The table-path key layout: (face id, first bit, residues) per proper
+    face, by face id, with one bit per residue, the tuples k of torsion
+    coordinates of Z^d / ZF, in the order of the face table's torsion and
+    lexicographic."""
     if pres._key_layout is None:
         layout, offset = [], 0
         for face in pres.face_lattice.faces:
             if face.face_id != pres.face_lattice.top_id:
-                reps = face_residue_reps(pres, face.face_id)
-                layout.append((face.face_id, offset, reps))
-                offset += len(reps)
+                torsion = pres._table(face.face_id).torsion
+                residues = tuple(product(*(range(m) for _, m in torsion)))
+                layout.append((face.face_id, offset, residues))
+                offset += len(residues)
         pres._key_layout = tuple(layout)
     return pres._key_layout
 
@@ -539,11 +483,12 @@ def _table_keys(pres: ToricPresentation, prefix, last: int, lo: int, hi: int) ->
 
     A face's bits can be set only where the values F_s = base + slope * x
     of all its facets are nonnegative, an interval of x.  The face's table
-    is grown once, to the largest values there, and a - r is a member iff
-    its table key, the facet values (F_s(r) = 0) and the torsion residues
-    (t0 - t(r) + dt * x) mod m, is in the table."""
+    is grown once, to the largest values there.  A degree a holds the
+    residue with torsion coordinates k iff a - r_k is a member, iff its
+    table key, the facet values (F_s(r_k) = 0) and the torsion coordinates
+    (t(a) - k) mod m with t(a) = t0 + dt * x, is in the table."""
     keys = [0] * (hi - lo)
-    for face_id, offset, reps in _key_bits(pres):
+    for face_id, offset, residues in _key_bits(pres):
         start, stop, lines = lo, hi, []
         for s in pres._zero_facet_ids[face_id]:
             coefficients = pres.supports[s].coefficients
@@ -562,14 +507,13 @@ def _table_keys(pres: ToricPresentation, prefix, last: int, lo: int, hi: int) ->
             max(base + slope * start, base + slope * (stop - 1)) for base, slope in lines])
         xs = range(start, stop)
         vals = [[base + slope * x for x in xs] for base, slope in lines]
-        for bit, rep in enumerate(reps, offset):
-            residues = [
-                [(t0 + c[-1] * x) % m for x in xs]
-                for c, m in tbl.torsion
-                for t0 in [sum(map(mul, c, prefix)) + c[-1] * last - la.dot(c, rep)]]
+        coords = [(sum(map(mul, c, prefix)) + c[-1] * last, c[-1], m) for c, m in tbl.torsion]
+        for bit, k in enumerate(residues, offset):
+            shifted = [[(t0 - kj + dt * x) % m for x in xs]
+                       for (t0, dt, m), kj in zip(coords, k)]
             keys[start - lo:stop - lo] = [
-                key | 1 << bit if k in tbl.keys else key
-                for key, k in zip(keys[start - lo:stop - lo], zip(*vals, *residues))]
+                key | 1 << bit if state in tbl.keys else key
+                for key, state in zip(keys[start - lo:stop - lo], zip(*vals, *shifted))]
     return keys
 
 
@@ -637,21 +581,21 @@ def degree_key(pres: ToricPresentation, a):
 def key_residues(pres: ToricPresentation, key) -> tuple:
     """Per face, by face id, the frozenset of residue indices i with a - r_i
     in the face's localization, for every degree a of the key, memoized per
-    key.  On the table path these are the key's bits, and the full cone
-    holds the zero residue alone.  On a fast path every r_i lies in its
-    face's span, so a face holds all its residues if its zero-facet mask
-    misses the key and none otherwise (see line_runs)."""
+    key; r_i has the i-th torsion coordinates of the face's layout
+    (_key_bits).  On the table path these are the key's bits, and the full
+    cone holds the zero residue alone.  A fast path runs only where every
+    face quotient is torsion-free (_classify), so a face holds its one
+    residue, zero, iff its zero-facet mask misses the key (see line_runs)."""
     residues = pres._residues_by_key.get(key)
     if residues is None:
         if pres.fast_path is None:
             residues = [frozenset((0,))] * len(pres.face_lattice)
-            for face_id, offset, reps in _key_bits(pres):
+            for face_id, offset, ks in _key_bits(pres):
                 residues[face_id] = frozenset(
-                    i for i in range(len(reps)) if key >> offset + i & 1)
+                    i for i in range(len(ks)) if key >> offset + i & 1)
         else:
-            residues = [
-                frozenset(() if mask & key else range(len(face_residue_reps(pres, f))))
-                for f, mask in enumerate(pres._zero_facet_masks)]
+            residues = [frozenset(() if mask & key else (0,))
+                        for mask in pres._zero_facet_masks]
         residues = pres._residues_by_key[key] = tuple(residues)
     return residues
 
@@ -798,8 +742,11 @@ def _classify(pres: ToricPresentation) -> None:
     }
     # trust the scored masks only where they match the table oracle for
     # every proper face on the box, whose facet values are nonnegative, and
-    # on the negated box, where a nonzero facet value tests the facet's sign
+    # on the negated box, where a nonzero facet value tests the facet's sign;
+    # and only where every proper face quotient, which those tables hold, is
+    # torsion-free, as it is for a scored Q: then each face has one residue
     proper = [f.face_id for f in lattice.faces if f.face_id != lattice.top_id]
     pres.fast_path = "scored" if (
         pres.scored and masks_agree(proper, keyed)
-        and masks_agree(proper, with_masks(map(la.vneg, points)))) else None
+        and masks_agree(proper, with_masks(map(la.vneg, points)))
+        and all(pres.face_quotient(f).is_torsion_free() for f in proper)) else None

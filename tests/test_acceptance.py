@@ -171,7 +171,7 @@ def test_criterion_4_exponent_identity_suite():
     ok = True
     total = 0
     for name in SCORED_NAMES:
-        report = verify_exponent_identities(presentation(name), pairs=100)
+        report = verify_exponent_identities(presentation(name))
         total += report.pairs_checked
         if report.pairs_checked < 100 or not report.ok:
             ok = False

@@ -21,7 +21,6 @@ from toriclc import (
     gr_generators_dim1,
     interior_degree,
     notcm_certificate,
-    theta_exponent,
     theta_exponents,
     verify_exponent_identities,
 )
@@ -46,11 +45,11 @@ def test_theta_exponent_normal_is_negative_part(pres_2dim):
 
 def test_theta_exponent_cusp_reference(pres_cusp):
     # facet value -1 knocks out {0, 2} from <2,3>
-    assert theta_exponent(pres_cusp, (-1,), 0) == 2
-    assert theta_exponent(pres_cusp, (1,), 0) == 1
-    assert theta_exponent(pres_cusp, (2,), 0) == 0
+    assert theta_exponents(pres_cusp, (-1,))[0] == 2
+    assert theta_exponents(pres_cusp, (1,))[0] == 1
+    assert theta_exponents(pres_cusp, (2,))[0] == 0
     for a in range(-8, 9):
-        assert theta_exponent(pres_cusp, (a,), 0) == \
+        assert theta_exponents(pres_cusp, (a,))[0] == \
             brute_theta_exponent(pres_cusp, (a,), 0)
 
 
@@ -66,13 +65,13 @@ def test_theta_exponent_large_multiple_vanishes(pres_cusp):
     ns = pres_cusp.facet_semigroup(0)
     a = (2,)
     k = ns.conductor + 3
-    assert theta_exponent(pres_cusp, (k * a[0],), 0) == 0
+    assert theta_exponents(pres_cusp, (k * a[0],))[0] == 0
 
 
 def test_theta_exponent_requires_scored():
     pres = presentation("dim2_nonscored")
     with pytest.raises(NotScored):
-        theta_exponent(pres, (1, 1), 0)
+        theta_exponents(pres, (1, 1))[0]
 
 
 def test_theta_additive_on_negated_members():
@@ -140,7 +139,7 @@ def test_theta_exponents_match_enumeration_on_random_degrees(name):
 
 @pytest.mark.parametrize("name", SCORED)
 def test_exponent_identities_suite(name):
-    report = verify_exponent_identities(presentation(name), pairs=100)
+    report = verify_exponent_identities(presentation(name))
     assert report.pairs_checked >= 100
     assert report.ok, report.failures
 

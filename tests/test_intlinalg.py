@@ -1,9 +1,12 @@
 """Exact linear algebra: normal forms, sublattices, quotients, coset reps."""
 
+from itertools import product
+from math import prod
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import saturation_index
+from oracles import lattice_contains, lattice_solve, saturation_index
 
 from toriclc import intlinalg as la
 
@@ -94,37 +97,51 @@ def test_snf_properties(m):
 
 def test_lattice_solve():
     basis = la.mat([[2, 0], [0, 3]])
-    assert la.lattice_solve(basis, (4, 3)) == (2, 1)
-    assert la.lattice_solve(basis, (1, 0)) is None
-    assert la.lattice_solve((), (0, 0)) == ()
-    assert la.lattice_solve((), (1, 0)) is None
+    assert lattice_solve(basis, (4, 3)) == (2, 1)
+    assert lattice_solve(basis, (1, 0)) is None
+    assert lattice_solve((), (0, 0)) == ()
+    assert lattice_solve((), (1, 0)) is None
+
+
+def _saturation(lat):
+    """The lattice spanned by L and its torsion coset representatives at the
+    unit torsion coordinates, which is the saturation of L; in lexicographic
+    order the unit j comes at the product of the later moduli."""
+    q = la.quotient(lat.ambient_rank, lat)
+    reps, moduli = la.torsion_coset_reps(q), q.torsion_invariants
+    units = tuple(reps[prod(moduli[j + 1:])] for j in range(len(moduli)))
+    return la.Sublattice.from_vectors(lat.ambient_rank, lat.basis + units)
 
 
 def test_saturate_gcd_reduction():
     lat = la.Sublattice.from_vectors(2, [(2, 0)])
-    assert lat.saturation().basis == ((1, 0),)
+    assert _saturation(lat).basis == ((1, 0),)
+    assert saturation_index(lat) == 2
 
 
 def test_saturate_index_two():
     lat = la.Sublattice.from_vectors(2, [(1, 1), (1, -1)])
-    sat = lat.saturation()
+    sat = _saturation(lat)
     assert sat.basis == la.identity(2)
     assert saturation_index(lat) == 2
 
 
 def test_saturate_full_lattice():
     lat = la.Sublattice.from_vectors(3, la.identity(3))
-    assert lat.saturation() == lat
+    assert _saturation(lat) == lat
+    assert saturation_index(lat) == 1
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_matrices)
 def test_saturate_idempotent(m):
     lat = la.Sublattice.from_vectors(len(m[0]), m)
-    sat = lat.saturation()
-    assert sat.saturation() == sat
+    sat = _saturation(lat)
+    assert _saturation(sat) == sat
+    assert saturation_index(sat) == 1
+    assert sat.rank == lat.rank
     for row in lat.basis:
-        assert sat.contains(row)
+        assert lattice_contains(sat, row)
 
 
 def test_quotient_torsion():
@@ -181,14 +198,15 @@ def test_coset_reps_properties(m):
     q = la.quotient(width, lat)
     reps = la.torsion_coset_reps(q)
     # count equals the product of the torsion invariants and the index
-    prod = 1
-    for t in q.torsion_invariants:
-        prod *= t
-    assert len(reps) == prod == saturation_index(lat)
+    assert len(reps) == prod(q.torsion_invariants) == saturation_index(lat)
     assert len({q.project(r) for r in reps}) == len(reps)
-    sat = lat.saturation()
-    for r in reps:
-        assert sat.contains(r)
+    # each representative has zero free coordinates, so it lies in the
+    # rational span of the lattice, and its torsion coordinates run through
+    # the tuples in lexicographic order, zero first
+    projected = [q.project(r) for r in reps]
+    assert all(y == 0 for p in projected for y, mod in zip(p, q._moduli) if mod == 0)
+    assert [tuple(y for y, mod in zip(p, q._moduli) if mod >= 2) for p in projected] == \
+        list(product(*(range(t) for t in q.torsion_invariants)))
 
 
 @st.composite

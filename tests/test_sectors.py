@@ -1,12 +1,14 @@
 """Signatures, class enumeration, sector partition, class order."""
 
+import json
 from collections import Counter
 from itertools import product
 
 import pytest
 
 from conftest import CORPUS, enumeration, presentation
-from test_semigroups import PENTAGON_SCORED, _keyed
+from report_digests import DIGESTS, digest
+from test_semigroups import PENTAGON_SCORED, TABLE2D_A, _keyed
 
 from toriclc import (
     ToricPresentation,
@@ -17,6 +19,7 @@ from toriclc import (
     sector_inventory,
     signature_leq,
 )
+from toriclc import intlinalg as la
 from toriclc import sectors, semigroups
 from toriclc.sectors import face_residue_reps
 from toriclc.semigroups import degree_key, key_residues, line_runs, scan_lines
@@ -80,6 +83,67 @@ def test_residue_reps_vanish_on_the_facets_of_their_face(name):
     for face in pres.face_lattice.faces:
         for rep in face_residue_reps(pres, face.face_id):
             assert all(pres.supports[s].value(rep) == 0 for s in face.zero_facets)
+
+
+# torsion on the table path: table2d_a's rays (Z/3), a ray with Z/4 and a
+# facet with two torsion coordinates, Z/2 x Z/2
+TORSION_PROBLEMS = {
+    "table2d_a": (TABLE2D_A, {(3,)}),
+    "z4_ray": ([[4, 0, 1], [0, 1, 1]], {(4,)}),
+    "z2_z2_facet": ([[2, 0, 0, 1, 0], [0, 2, 0, 0, 1], [0, 0, 1, 1, 1]], {(2,), (2, 2)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TORSION_PROBLEMS))
+def test_decode_labels_residues_by_lexicographic_torsion_coordinates(name):
+    # residue i of a face is the i-th torsion tuple of Z^d / ZF in
+    # lexicographic order, both in the key layout and for the representative
+    # the per-query reference subtracts, so the decode of a degree's key
+    # equals the reference residue sets face by face
+    rows, torsion = TORSION_PROBLEMS[name]
+    pres = ToricPresentation.build(rows)
+    assert pres.fast_path is None
+    layout = {f: residues for f, _, residues in semigroups._key_bits(pres)}
+    seen = set()
+    for face in pres.face_lattice.faces:
+        q = pres.face_quotient(face.face_id)
+        seen.add(q.torsion_invariants)
+        coordinates = [tuple(y for y, m in zip(q.project(rep), q._moduli) if m >= 2)
+                       for rep in face_residue_reps(pres, face.face_id)]
+        assert coordinates == list(product(*map(range, q.torsion_invariants)))
+        if face.face_id != pres.face_lattice.top_id:
+            assert list(layout[face.face_id]) == coordinates
+    assert seen - {()} == torsion
+    faces = [f.face_id for f in pres.face_lattice.faces]
+    for a in product(range(-3, 4), repeat=pres.dim):
+        assert key_residues(pres, degree_key(pres, a)) == tuple(
+            face_residues(pres, a, f) for f in faces), a
+
+
+@pytest.mark.parametrize("argv", [
+    ("sectors", "perfbench/problems/table2d_a.toric"),
+    ("lc", "perfbench/problems/table2d_a.toric", "--maximal", "--socle", "2,4"),
+    ("sectors", "corpus/dim3_hartshorne.toric"),
+    ("lc", "corpus/dim3_hartshorne.toric", "--socle", "2,4"),
+], ids=["table2d_a-sectors", "table2d_a-lc-socle", "hartshorne-sectors", "hartshorne-lc-socle"])
+def test_reports_build_no_residue_representatives(monkeypatch, argv):
+    # the table keys and the decode index residues by torsion coordinates,
+    # so a report never builds a representative vector; it stays unchanged
+    calls = []
+
+    def counted(original):
+        def wrapper(*args):
+            calls.append(original.__name__)
+            return original(*args)
+        return wrapper
+
+    for module, name in [(la, "torsion_coset_reps"), (semigroups, "face_residue_reps"),
+                         (sectors, "face_residue_reps")]:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    code, sha = digest(argv)
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert (code, sha) == (0, recorded[" ".join(argv)])
+    assert calls == []
 
 
 def test_two_classes_dim1():

@@ -1,6 +1,7 @@
 """Membership oracles, numerical semigroups, classification flags."""
 
 from collections import Counter
+from dataclasses import replace
 from functools import cache
 from itertools import product
 from math import gcd
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, enumeration, presentation, reference_cech_ranks
+from conftest import REPO, CORPUS, enumeration, presentation, reference_cech_ranks
 from oracles import (
     escape_count,
+    face_membership_search,
     in_escape_set,
     in_monomial_localization,
     monomial_localization_witness,
@@ -25,7 +27,6 @@ from toriclc import (
     ToricPresentation,
     degree_signature,
     enumerate_classes,
-    face_membership_search,
     face_residues,
     in_face_localization,
     in_semigroup,
@@ -37,6 +38,7 @@ from toriclc import (
 from toriclc import intlinalg as la
 from toriclc import semigroups
 from toriclc.errors import FullLatticeRequired
+from toriclc.problems import parse_problem_file
 from toriclc.semigroups import _facet_box_points, face_residue_reps, line_runs
 
 
@@ -293,6 +295,50 @@ def test_classification_flags():
         pres = presentation(name)
         got = (pres.normal, pres.scored, pres.serre_s2, pres.fast_path)
         assert got == flags, name
+
+
+PROBLEM_FILES = sorted([*(REPO / "corpus").glob("*.toric"),
+                        *(REPO / "perfbench" / "problems").glob("**/*.toric")])
+
+
+def test_fast_path_face_quotients_are_torsion_free():
+    # on the normal route ZF = span F ∩ Z^d is saturated; the scored route
+    # runs only where the tables found every proper face quotient
+    # torsion-free; so a fast-path face has the zero residue alone
+    routes = Counter()
+    for path in PROBLEM_FILES:
+        problem = parse_problem_file(str(path))
+        pres = ToricPresentation.build(
+            problem.matrix_rows, search_bound=problem.options.get("bound"),
+            box_margin=problem.options.get("margin", 10))
+        routes[pres.fast_path] += 1
+        if pres.fast_path is not None:
+            for face in pres.face_lattice.faces:
+                assert pres.face_quotient(face.face_id).is_torsion_free(), (path.name, face)
+    assert routes == {"normal": 9, "scored": 8, None: 5}
+
+
+def test_torsion_face_quotient_turns_scored_fast_path_off(monkeypatch):
+    # the scored masks give each face its zero residue alone, so one proper
+    # face quotient with torsion, here patched in on the first facet face,
+    # leaves the scored flag but sends every query to the tables
+    rows = CORPUS["dim2_scored_nonnormal"][0]
+    assert ToricPresentation.build(rows).fast_path == "scored"
+    face_quotient = ToricPresentation.face_quotient
+
+    def with_torsion(self, face_id):
+        q = face_quotient(self, face_id)
+        if face_id == self.face_lattice.facet_face_id(0):
+            return replace(q, torsion_invariants=(2,))
+        return q
+
+    monkeypatch.setattr(ToricPresentation, "face_quotient", with_torsion)
+    pres = ToricPresentation.build(rows)
+    assert (pres.normal, pres.scored, pres.fast_path) == (False, True, None)
+    faces = [f.face_id for f in pres.face_lattice.faces]
+    for a in product(range(-4, 5), repeat=2):
+        assert localization_faces(pres, a, faces) == frozenset(
+            f for f in faces if face_membership_search(pres, a, f, search_bound=100))
 
 
 def _count_table_calls(monkeypatch):
