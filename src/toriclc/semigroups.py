@@ -463,9 +463,9 @@ def face_residue_reps(pres: ToricPresentation, face_id: int) -> tuple:
 
 def _key_bits(pres: ToricPresentation) -> tuple:
     """The table-path key layout: (face id, first bit, residues) per proper
-    face, by face id, with one bit per residue, the tuples k of torsion
-    coordinates of Z^d / ZF, in the order of the face table's torsion and
-    lexicographic."""
+    face, by face id, with one bit per residue.  The residues are the
+    tuples k of torsion coordinates of Z^d / ZF, in the order of the face
+    table's torsion columns, listed lexicographically."""
     if pres._key_layout is None:
         layout, offset = [], 0
         for face in pres.face_lattice.faces:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import REPO, CORPUS, enumeration, presentation, reference_cech_ranks
+from conftest import CORPUS, REPO, enumeration, presentation, reference_cech_ranks
 from oracles import (
     escape_count,
     face_membership_search,
