@@ -152,9 +152,11 @@ def _subset_sign(lo, hi) -> int:
     return (-1) ** missing[0] if len(missing) == 1 else 0
 
 
-def cech_slice(pres: ToricPresentation, ideal: MonomialIdeal, a):
+def cech_slice(pres: ToricPresentation, ideal: MonomialIdeal, a, present=None):
     """Term labels and differentials of a complex with the cohomology of the
-    degree-a slice of the Cech complex on one generator per minimal face.
+    degree-a slice of the Cech complex on one generator per minimal face;
+    present, when given, is the set of elements of L whose localization
+    contains a.
 
     A subset of generators is present iff its join is, and present subsets
     are closed upward, so H^i of the slice is reduced H^(i-2) of the complex
@@ -165,7 +167,8 @@ def cech_slice(pres: ToricPresentation, ideal: MonomialIdeal, a):
     Thm. 10.8): the labels are its chains, k faces in degree k + 1."""
     table = _cech_table(pres, ideal)
     leq = pres.face_lattice.leq
-    present = localization_faces(pres, a, table.faces)
+    if present is None:
+        present = localization_faces(pres, a, table.faces)
     if any(g not in present and leq(f, g) for f, g in product(present, table.faces)):
         raise AssertionError(f"localization support shrank at {a}: {sorted(present)}")
     if table.faces[0] in present:
@@ -178,16 +181,17 @@ def cech_slice(pres: ToricPresentation, ideal: MonomialIdeal, a):
     return labels[:-1], _coboundaries(labels[:-1], _subset_sign)
 
 
-def cech_ranks(pres: ToricPresentation, ideal: MonomialIdeal, a) -> tuple:
+def cech_ranks(pres: ToricPresentation, ideal: MonomialIdeal, a, key=None) -> tuple:
     """Cohomology ranks, by cohomological degree 0..#generators, of the
-    degree-a Cech slice, memoized per set of present faces; zero in the
-    semigroup and when the top of L, the end of any chain of m faces
-    (degree m + 1, m minimal faces), is absent, as P_a then has a maximum."""
+    degree-a Cech slice, memoized per set of present faces, which are read
+    off a's key (computed unless given); zero in the semigroup and when the
+    top of L, the end of any chain of m faces (degree m + 1, m minimal
+    faces), is absent, as P_a then has a maximum."""
     table = _cech_table(pres, ideal)
-    present = localization_faces(pres, a, table.faces)
+    present = localization_faces(pres, a, table.faces, key)
     ranks = table.ranks.get(present)
     if ranks is None:
-        labels, diffs = cech_slice(pres, ideal, a)
+        labels, diffs = cech_slice(pres, ideal, a, present)
         ranks = _complex_ranks([len(l) for l in labels], diffs)
         t = len(ideal.generator_degrees)
         if any(ranks[t + 1:]):
@@ -356,7 +360,7 @@ def socle_probe(pres: ToricPresentation, ideal: MonomialIdeal,
         hit = memo.get(key)
         if hit is None:
             degree = a if shift is None else la.vadd(a, shift)
-            hit = memo[key] = cech_ranks(pres, ideal, degree)
+            hit = memo[key] = cech_ranks(pres, ideal, degree, key)
         return hit
 
     found = [[] for _ in degrees]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import add
 
 from . import intlinalg as la
 from .errors import (
@@ -277,23 +278,28 @@ class FiberCertificate:
 
 def _exponent_map_checks(pres: ToricPresentation) -> tuple:
     """Additivity and injectivity of degree -> exponents on random sums of
-    semigroup degrees."""
+    semigroup degrees.
+
+    Facet values are linear and determine the degree, so each sum is
+    carried as its facet values, the same combination of the columns'
+    values, and two sums are equal iff their values are."""
     rng = random.Random(_RNG_SEED)
-    cols = [c for c in pres.columns if not la.is_zero_vector(c)]
+    # the negated facet values of each nonzero column
+    cols = [tuple(-v for v in pres.facet_values(c))
+            for c in pres.columns if not la.is_zero_vector(c)]
     semigroups = _facet_semigroups(pres)
     additive = True
     injective = True
     seen = {}
     for _ in range(_EXPONENT_MAP_SAMPLES):
-        x = la.zero_vector(pres.dim)
-        y = la.zero_vector(pres.dim)
+        x = y = (0,) * len(semigroups)
         for c in cols:
-            x = la.vadd(x, la.vscale(rng.randint(0, 2), c))
-            y = la.vadd(y, la.vscale(rng.randint(0, 2), c))
-        ex, ey, exy = (
-            _exponents_at(semigroups, [-v for v in pres.facet_values(z)])
-            for z in (x, y, la.vadd(x, y)))
-        if exy != tuple(a + b for a, b in zip(ex, ey)):
+            i, j = rng.randint(0, 2), rng.randint(0, 2)
+            x = tuple(v + i * w for v, w in zip(x, c))
+            y = tuple(v + j * w for v, w in zip(y, c))
+        ex, ey, exy = (_exponents_at(semigroups, z)
+                       for z in (x, y, tuple(map(add, x, y))))
+        if exy != tuple(map(add, ex, ey)):
             additive = False
         if seen.setdefault(ex, x) != x:
             injective = False

@@ -1,14 +1,19 @@
 """Report assembly and rendering.
 
 Machine reports are canonical JSON (sorted keys, two-space indent, trailing
-newline): byte-identical for identical inputs and options.  Human reports
-are plain-text tables carrying the same content.  Wall-clock timing is
-deliberately not part of any report; the CLI prints it to stderr.
+newline): byte-identical for identical inputs and options, and exactly the
+bytes of json.dumps(report, sort_keys=True, indent=2) plus a newline.  They
+are written in one recursive pass (render_machine) rather than through the
+standard library's indenting encoder, a chain of pure-Python generators.
+Reports hold dicts with str keys, lists or tuples, str, int, bool and None
+only; anything else raises TypeError.  Human reports are plain-text tables
+carrying the same content.  Wall-clock timing is deliberately not part of
+any report; the CLI prints it to stderr.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import cohomology as co
 from . import grading as gr
@@ -19,7 +24,50 @@ SCHEMA = "toriclc-report/1"
 
 
 def render_machine(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    out = []
+    _render(report, "", "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _render(value, prefix: str, newline: str, out: list) -> None:
+    """Append prefix and the canonical JSON of value to out, prefix joined
+    to the value's first piece; newline is a line break followed by the
+    indent of the line the value starts on."""
+    if isinstance(value, str):
+        out.append(prefix + _quote(value))
+    elif value is None:
+        out.append(prefix + "null")
+    elif value is True:
+        out.append(prefix + "true")
+    elif value is False:
+        out.append(prefix + "false")
+    elif isinstance(value, int):
+        out.append(prefix + int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append(prefix + "[]")
+            return
+        inner = newline + "  "
+        sep = prefix + "[" + inner
+        for item in value:
+            _render(item, sep, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append(prefix + "{}")
+            return
+        inner = newline + "  "
+        sep = prefix + "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            _render(value[key], sep + _quote(key) + ": ", inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"reports hold no {type(value).__name__}")
 
 
 # -- report fragments ---------------------------------------------------------

@@ -8,7 +8,9 @@ by the table oracle on the box that holds every parallelepiped point of
 every simplicial cone spanned by columns.  The other two flags are checked
 exhaustively on a finite facet-value box, reported together with that box:
 a false flag has a witness there, a true one is the exact definition
-restricted to the box, not a global proof.
+restricted to the box, not a global proof.  Each box is walked lazily, a
+point with its facet values at a time, and each check stops at its first
+witness.
 
 Membership decisions are exact.  Key observation: every representation of
 a degree as a nonnegative combination of columns (plus an element of a
@@ -52,7 +54,7 @@ present are read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import product
 from math import gcd
 from operator import add, gt, le, mod, mul
@@ -315,9 +317,15 @@ class ToricPresentation:
             tbl.rebuild(needed, self.table_state_limit)
         return tbl
 
-    def _table_membership(self, a, face_id: int) -> bool:
+    def _table_membership(self, a, face_id: int, values=None) -> bool:
+        """Whether a lies in the face's localization, read off its table;
+        values, when given, are a's facet values by facet id and are not
+        recomputed."""
         relevant = self._zero_facet_ids[face_id]
-        vals = tuple(self.supports[s].value(a) for s in relevant)
+        if values is None:
+            vals = tuple(self.supports[s].value(a) for s in relevant)
+        else:
+            vals = tuple(map(values.__getitem__, relevant))
         if any(v < 0 for v in vals):
             return False
         tbl = self._grown_table(face_id, vals)
@@ -399,19 +407,17 @@ def _fails(pres: ToricPresentation, route: str, facet_id: int, value: int) -> bo
     return value < 0 or route == "scored" and value in pres.facet_semigroup(facet_id).gaps
 
 
-def _failing_facets(pres: ToricPresentation, route: str, a) -> int:
-    """The failing-facet mask of one degree, from its facet values."""
-    a = la.vec(a)
-    return sum(1 << s.facet_id for s in pres.supports
-               if _fails(pres, route, s.facet_id, s.value(a)))
+def _failing_facets(pres: ToricPresentation, route: str, values) -> int:
+    """The failing-facet mask of a degree with the given facet values."""
+    return sum(1 << s for s, v in enumerate(values) if _fails(pres, route, s, v))
 
 
-def localization_faces(pres: ToricPresentation, a, face_ids) -> frozenset:
+def localization_faces(pres: ToricPresentation, a, face_ids, key=None) -> frozenset:
     """The faces among face_ids whose localization (semigroup + group of the
     face) contains the degree: those that hold residue 0 in the decode of
-    the degree's key (key_residues)."""
+    the degree's key (key_residues), computed unless given."""
     pres._require_pointed()
-    residues = key_residues(pres, degree_key(pres, a))
+    residues = key_residues(pres, degree_key(pres, a) if key is None else key)
     return frozenset(f for f in face_ids if 0 in residues[f])
 
 
@@ -615,18 +621,19 @@ def scan_lines(dim: int, radius: int, inner: int = -1):
 # -- classification -----------------------------------------------------------
 
 
-def _facet_box_points(pres: ToricPresentation, caps) -> list:
-    """All integer points whose facet values lie in [0, cap] per facet.
+def _box_walk(pres: ToricPresentation, caps):
+    """Lazily, every integer point whose facet values lie in [0, cap] per
+    facet, as (point, facet values by facet id).
 
     Walks the image lattice of the facet-value map on a maximal independent
     subset of facets: its Hermite basis is triangular, so the value tuples
     in the box are enumerated coordinate by coordinate with no wasted
     candidates (the image can have large index in the ambient lattice, so
     scanning all value tuples would be far more expensive).  Each Hermite
-    row is the value tuple of the matching row of the unimodular transform,
-    so the point is carried along as the same combination of those rows and
-    filtered against the remaining facets at the end."""
-    d = pres.dim
+    row is the value tuple of the matching row of the unimodular transform;
+    facet values are linear, so a point and all its facet values are
+    carried along as the same combination of those rows, and the remaining
+    facets are filtered at the end."""
     basis_ids = []
     rows = []
     for s in pres.supports:
@@ -634,36 +641,52 @@ def _facet_box_points(pres: ToricPresentation, caps) -> list:
         if la.rank(la.mat(cand)) == len(cand):
             rows.append(s.coefficients)
             basis_ids.append(s.facet_id)
-        if len(rows) == d:
+        if len(rows) == pres.dim:
             break
-    others = [s for s in pres.supports if s.facet_id not in basis_ids]
-    bounds = [caps[i] for i in basis_ids]
+    others = [s.facet_id for s in pres.supports if s.facet_id not in basis_ids]
     # image lattice of a |-> (F(a)) is generated by the value vectors of
     # the unit directions, i.e. the columns of the basis-normal matrix
     image_basis, transform = la.hermite_normal_form(la.transpose(la.mat(rows)))
+    lifts = []
+    for row, lift in zip(image_basis, transform):
+        values = pres.facet_values(lift)
+        if tuple(values[s] for s in basis_ids) != tuple(row):
+            raise AssertionError(f"facet values of {lift} are not {row}")
+        lifts.append((lift, values))
 
-    points = []
-
-    def step(level, partial, point):
-        if level == d:
-            if tuple(la.dot(r, point) for r in rows) != partial:
-                raise AssertionError(f"facet values of {point} are not {partial}")
-            if all(0 <= s.value(point) <= caps[s.facet_id] for s in others):
-                points.append(point)
+    def step(level, point, values):
+        if level == len(lifts):
+            if all(0 <= values[s] <= caps[s] for s in others):
+                yield point, values
             return
-        row = image_basis[level]
-        lift = transform[level]
-        pivot = row[level]
+        lift, shift = lifts[level]
+        s = basis_ids[level]
+        pivot = shift[s]
         # the Hermite basis is triangular: later levels cannot change this
-        # coordinate, so its box constraint pins the coefficient range here
-        y = -(partial[level] // pivot)
-        while partial[level] + y * pivot <= bounds[level]:
-            nxt = tuple(p + y * r for p, r in zip(partial, row))
-            step(level + 1, nxt, tuple(p + y * u for p, u in zip(point, lift)))
+        # facet value, so its box constraint pins the coefficient range here
+        y = -(values[s] // pivot)
+        while values[s] + y * pivot <= caps[s]:
+            yield from step(level + 1, tuple(p + y * u for p, u in zip(point, lift)),
+                            tuple(v + y * w for v, w in zip(values, shift)))
             y += 1
 
-    step(0, (0,) * d, (0,) * d)
-    return points
+    return step(0, (0,) * pres.dim, (0,) * len(pres.supports))
+
+
+class _Walk:
+    """A lazy walk that can be walked again: each pass yields the items
+    drawn so far, then draws on, so a pass that stops at a witness leaves
+    the rest of the box unvisited."""
+
+    def __init__(self, items):
+        self._items = items
+        self._drawn = []
+
+    def __iter__(self):
+        yield from self._drawn
+        for item in self._items:
+            self._drawn.append(item)
+            yield item
 
 
 def _normal_caps(pres: ToricPresentation) -> dict:
@@ -680,31 +703,41 @@ def _normal_caps(pres: ToricPresentation) -> dict:
 def _classify(pres: ToricPresentation) -> None:
     lattice = pres.face_lattice
     bottom = lattice.bottom_id
-    oracle = cache(pres._table_membership)
+    answers = {}
+
+    def member(a, values, face_id) -> bool:
+        """The table oracle, asked at most once per point and face."""
+        hit = answers.get((a, face_id))
+        if hit is None:
+            hit = answers[a, face_id] = pres._table_membership(a, face_id, values)
+        return hit
+
     caps = {
         s.facet_id: pres.facet_semigroup(s.facet_id).conductor + pres.box_margin
         for s in pres.supports
     }
     pres.verification_box = tuple(caps[s.facet_id] for s in pres.supports)
 
-    def holds_box(box) -> bool:
+    def holds_box(box, points) -> bool:
         """Whether the oracle accepts every point of the box on the bottom
         face, from a table built once at the box's caps rather than grown
         to them by doubling."""
         pres._table(bottom).rebuild(
             [box[s] for s in pres._zero_facet_ids[bottom]], pres.table_state_limit)
-        return all(oracle(a, bottom) for a in _facet_box_points(pres, box))
+        return all(member(a, values, bottom) for a, values in points)
 
     # Q is normal iff it holds every parallelepiped point of every simplicial
     # cone spanned by columns (Bruns-Gubeladze, Polytopes, Rings, and
     # K-Theory, 2009).  Every box point lies in the cone, so a point outside
     # Q is a hole and the verdict is exact either way.  The part of the
     # normal box inside the verification box, which the flag checks below
-    # table anyway, is searched for a hole first.
+    # walk anyway, is searched for a hole first; when it is the whole
+    # verification box, those checks continue its walk.
     normal_caps = _normal_caps(pres)
     inner_caps = {s: min(caps[s], normal_caps[s]) for s in caps}
-    pres.normal = holds_box(inner_caps) and (
-        inner_caps == normal_caps or holds_box(normal_caps))
+    inner = _Walk(_box_walk(pres, inner_caps))
+    pres.normal = holds_box(inner_caps, inner) and (
+        inner_caps == normal_caps or holds_box(normal_caps, _box_walk(pres, normal_caps)))
     if pres.normal:
         # normal => scored => S2, and each localization is cut out by the
         # facets containing its face, so no per-face check is needed
@@ -712,25 +745,30 @@ def _classify(pres: ToricPresentation) -> None:
         pres.fast_path = "normal"
         pres.flag_evidence = dict.fromkeys(("normal", "scored", "serre_s2"), "certified")
         return
+    points = inner if inner_caps == caps else _Walk(_box_walk(pres, caps))
     masks = pres._zero_facet_masks
+    keyed = []
 
-    def with_masks(degrees) -> list:
-        return [(a, _failing_facets(pres, "scored", a)) for a in degrees]
+    def keying():
+        """(point, values, scored failing-facet mask) of the box, each mask
+        computed as the scored check reads it and kept in keyed."""
+        for a, values in points:
+            keyed.append((a, values, _failing_facets(pres, "scored", values)))
+            yield keyed[-1]
 
-    def masks_agree(face_ids, keyed) -> bool:
+    def masks_agree(face_ids, box) -> bool:
         """Whether the scored failing-facet masks match the table oracle at
         every (degree, mask) pair on every given face."""
         return all(
-            oracle(a, f) == (not masks[f] & fail)
-            for f in face_ids for a, fail in keyed
+            member(a, values, f) == (not masks[f] & fail)
+            for f in face_ids for a, values, fail in box
         )
 
-    points = _facet_box_points(pres, caps)
-    keyed = with_masks(points)
     facet_ids = [lattice.facet_face_id(s.facet_id) for s in pres.supports]
-    pres.scored = masks_agree([bottom], keyed)
+    pres.scored = masks_agree([bottom], keying())
     pres.serre_s2 = all(
-        oracle(a, bottom) == all(oracle(a, f) for f in facet_ids) for a in points
+        member(a, values, bottom) == all(member(a, values, f) for f in facet_ids)
+        for a, values in points
     )
     if pres.scored and not pres.serre_s2:
         raise AssertionError("flags violate scored => Serre-S2")
@@ -741,12 +779,15 @@ def _classify(pres: ToricPresentation) -> None:
         "serre_s2": "box" if pres.serre_s2 else "certified",
     }
     # trust the scored masks only where they match the table oracle for
-    # every proper face on the box, whose facet values are nonnegative, and
-    # on the negated box, where a nonzero facet value tests the facet's sign;
-    # and only where every proper face quotient, which those tables hold, is
-    # torsion-free, as it is for a scored Q: then each face has one residue
+    # every proper face on the box (keyed in full, as scored holds), whose
+    # facet values are nonnegative, and on the negated box, where a nonzero
+    # facet value tests the facet's sign; and only where every proper face
+    # quotient, which those tables hold, is torsion-free, as it is for a
+    # scored Q: then each face has one residue
     proper = [f.face_id for f in lattice.faces if f.face_id != lattice.top_id]
     pres.fast_path = "scored" if (
         pres.scored and masks_agree(proper, keyed)
-        and masks_agree(proper, with_masks(map(la.vneg, points)))
+        and masks_agree(proper, [
+            (la.vneg(a), negated, _failing_facets(pres, "scored", negated))
+            for a, values, _ in keyed for negated in [tuple(-v for v in values)]])
         and all(pres.face_quotient(f).is_torsion_free() for f in proper)) else None

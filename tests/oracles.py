@@ -1,8 +1,10 @@
 """Reference oracles used only by the tests: a depth-first membership
 search independent of the tables, lattice membership by Hermite
 elimination, monomial localizations, escape sets and counts by their
-definitions, and the index of a lattice in its saturation."""
+definitions, the index of a lattice in its saturation, and the flag
+classification that materializes each box before walking it."""
 
+from functools import cache
 from itertools import combinations
 from math import gcd
 
@@ -14,6 +16,7 @@ from toriclc import (
     smallest_containing_face,
 )
 from toriclc import intlinalg as la
+from toriclc.semigroups import _normal_caps
 
 
 def vec_mat(v, m):
@@ -170,3 +173,107 @@ def saturation_index(lattice: la.Sublattice) -> int:
     for cols in combinations(range(lattice.ambient_rank), len(basis)):
         g = gcd(g, la.det(tuple(tuple(row[j] for j in cols) for row in basis)))
     return g
+
+
+def facet_box_points(pres, caps) -> list:
+    """All integer points whose facet values lie in [0, cap] per facet,
+    materialized: the Hermite walk of the image lattice of the facet-value
+    map on a maximal independent subset of facets, each point checked
+    against its own facet values."""
+    d = pres.dim
+    basis_ids = []
+    rows = []
+    for s in pres.supports:
+        cand = rows + [s.coefficients]
+        if la.rank(la.mat(cand)) == len(cand):
+            rows.append(s.coefficients)
+            basis_ids.append(s.facet_id)
+        if len(rows) == d:
+            break
+    others = [s for s in pres.supports if s.facet_id not in basis_ids]
+    bounds = [caps[i] for i in basis_ids]
+    image_basis, transform = la.hermite_normal_form(la.transpose(la.mat(rows)))
+    points = []
+
+    def step(level, partial, point):
+        if level == d:
+            if tuple(la.dot(r, point) for r in rows) != partial:
+                raise AssertionError(f"facet values of {point} are not {partial}")
+            if all(0 <= s.value(point) <= caps[s.facet_id] for s in others):
+                points.append(point)
+            return
+        row = image_basis[level]
+        lift = transform[level]
+        pivot = row[level]
+        y = -(partial[level] // pivot)
+        while partial[level] + y * pivot <= bounds[level]:
+            nxt = tuple(p + y * r for p, r in zip(partial, row))
+            step(level + 1, nxt, tuple(p + y * u for p, u in zip(point, lift)))
+            y += 1
+
+    step(0, (0,) * d, (0,) * d)
+    return points
+
+
+def classify_materialized(pres) -> None:
+    """The flag classification with every box listed before its first
+    membership test, every failing-facet mask computed up front from the
+    degree, and the verification box walked afresh: the reference for
+    semigroups._classify, which must set the same flags, evidence,
+    verification box and fast path, ask the table oracle the same
+    questions in the same order and leave every table at the same caps."""
+    lattice = pres.face_lattice
+    bottom = lattice.bottom_id
+    oracle = cache(pres._table_membership)
+    caps = {
+        s.facet_id: pres.facet_semigroup(s.facet_id).conductor + pres.box_margin
+        for s in pres.supports
+    }
+    pres.verification_box = tuple(caps[s.facet_id] for s in pres.supports)
+
+    def holds_box(box) -> bool:
+        pres._table(bottom).rebuild(
+            [box[s] for s in pres._zero_facet_ids[bottom]], pres.table_state_limit)
+        return all(oracle(a, bottom) for a in facet_box_points(pres, box))
+
+    normal_caps = _normal_caps(pres)
+    inner_caps = {s: min(caps[s], normal_caps[s]) for s in caps}
+    pres.normal = holds_box(inner_caps) and (
+        inner_caps == normal_caps or holds_box(normal_caps))
+    if pres.normal:
+        pres.scored = pres.serre_s2 = True
+        pres.fast_path = "normal"
+        pres.flag_evidence = dict.fromkeys(("normal", "scored", "serre_s2"), "certified")
+        return
+    masks = pres._zero_facet_masks
+
+    def with_masks(degrees) -> list:
+        return [(a, sum(1 << s for s, v in enumerate(pres.facet_values(a))
+                        if v not in pres.facet_semigroup(s)))
+                for a in degrees]
+
+    def masks_agree(face_ids, keyed) -> bool:
+        return all(
+            oracle(a, f) == (not masks[f] & fail)
+            for f in face_ids for a, fail in keyed
+        )
+
+    points = facet_box_points(pres, caps)
+    keyed = with_masks(points)
+    facet_ids = [lattice.facet_face_id(s.facet_id) for s in pres.supports]
+    pres.scored = masks_agree([bottom], keyed)
+    pres.serre_s2 = all(
+        oracle(a, bottom) == all(oracle(a, f) for f in facet_ids) for a in points
+    )
+    if pres.scored and not pres.serre_s2:
+        raise AssertionError("flags violate scored => Serre-S2")
+    pres.flag_evidence = {
+        "normal": "certified",
+        "scored": "box" if pres.scored else "certified",
+        "serre_s2": "box" if pres.serre_s2 else "certified",
+    }
+    proper = [f.face_id for f in lattice.faces if f.face_id != lattice.top_id]
+    pres.fast_path = "scored" if (
+        pres.scored and masks_agree(proper, keyed)
+        and masks_agree(proper, with_masks(map(la.vneg, points)))
+        and all(pres.face_quotient(f).is_torsion_free() for f in proper)) else None

@@ -342,7 +342,7 @@ def test_socle_probe_evaluates_support_once_per_degree(monkeypatch):
     asked = []
     monkeypatch.setattr(
         cohomology, "cech_ranks",
-        lambda p, i, a: asked.append(tuple(a)) or cech_ranks(p, i, a))
+        lambda p, i, a, key=None: asked.append(tuple(a)) or cech_ranks(p, i, a, key))
     for name, count in (("dim3_hartshorne", 6), ("dim2_nonscored", 3)):
         pres = ToricPresentation.build(CORPUS[name][0])
         ideal = (MonomialIdeal.maximal_ideal(pres) if CORPUS[name][1] == "maximal"
@@ -455,15 +455,18 @@ def test_cech_ranks_hit_queries_faces_and_builds_nothing(monkeypatch):
     queries, slices = [], []
     monkeypatch.setattr(
         cohomology, "localization_faces",
-        lambda p, a, faces: queries.append(tuple(faces)) or localization_faces(p, a, faces))
+        lambda p, a, faces, key=None:
+            queries.append(tuple(faces)) or localization_faces(p, a, faces, key))
     monkeypatch.setattr(
         cohomology, "cech_slice",
-        lambda p, i, a: slices.append(a) or cech_slice(p, i, a))
+        lambda p, i, a, present=None: slices.append(a) or cech_slice(p, i, a, present))
     miss = cech_ranks(pres, ideal, (-1, -1))
     assert len(slices) == 1
     table = pres._cech_tables[ideal.generator_degrees]
     assert table.faces[0] == pres.face_lattice.bottom_id
     first = table.faces
+    # a miss reads the faces present once and hands them to the slice
+    assert queries == [first]
     queries.clear()
     # (-2, -2) lies in the same localizations as (-1, -1)
     assert cech_ranks(pres, ideal, (-2, -2)) == miss
@@ -479,17 +482,20 @@ def test_socle_probe_asks_cech_ranks_once_per_key(monkeypatch):
     assert pres.fast_path == "normal"
     ideal = MonomialIdeal.from_degrees(pres, CORPUS["dim3_hartshorne"][1])
     cech_ranks(pres, ideal, (0, 0, 0))  # builds the per-ideal table first
-    asked, slices = [], []
+    asked, slices, passed = [], [], []
     monkeypatch.setattr(
         cohomology, "cech_ranks",
-        lambda p, i, a: asked.append(tuple(a)) or cech_ranks(p, i, a))
+        lambda p, i, a, key=None: asked.append(tuple(a)) or passed.append(key)
+        or cech_ranks(p, i, a, key))
     monkeypatch.setattr(
         cohomology, "cech_slice",
-        lambda p, i, a: slices.append(tuple(a)) or cech_slice(p, i, a))
+        lambda p, i, a, present=None: slices.append(tuple(a)) or cech_slice(p, i, a, present))
     (probe,) = socle_probe(pres, ideal, [2], [5])
     assert probe.counts == ((5, 6),)
     keys = Counter(semigroups.degree_key(pres, a) for a in asked)
     assert max(keys.values()) == 1
+    # the probe hands over the key its walk holds, so none is recomputed
+    assert passed == [semigroups.degree_key(pres, a) for a in asked]
     assert set(pres._residues_by_key) == set(keys) | {semigroups.degree_key(pres, (0, 0, 0))}
     # one slice per new memo entry; the entry for (0, 0, 0) was already there
     table = pres._cech_tables[ideal.generator_degrees]
@@ -529,6 +535,6 @@ def test_cech_slice_rejects_support_not_closed_upward(monkeypatch):
     ideal = MonomialIdeal.maximal_ideal(pres)
     monkeypatch.setattr(
         cohomology, "localization_faces",
-        lambda p, a, faces: frozenset((p.face_lattice.bottom_id,)))
+        lambda p, a, faces, key=None: frozenset((p.face_lattice.bottom_id,)))
     with pytest.raises(AssertionError, match="support shrank"):
         cech_ranks(pres, ideal, (-1, -1))

@@ -25,6 +25,7 @@ from toriclc import (
     verify_exponent_identities,
 )
 from toriclc import grading, semigroups
+from toriclc import intlinalg as la
 
 
 def brute_escape_count(ns, shift, window=200):
@@ -345,6 +346,47 @@ def test_exponent_map_check_rejects_a_constant_map(monkeypatch):
                         lambda semigroups, values: (0,) * len(semigroups))
     checks = grading._exponent_map_checks(ToricPresentation.build(CORPUS["dim2_normal"][0]))
     assert checks == (("exponent_map_additive", True), ("exponent_map_injective", False))
+
+
+def _exponent_map_checks_by_degree(pres) -> tuple:
+    """The exponent-map checks on the degrees themselves: the same draws,
+    each sum built as a vector and its facet values taken at the end."""
+    rng = random.Random(grading._RNG_SEED)
+    cols = [c for c in pres.columns if not la.is_zero_vector(c)]
+    semigroups_ = [pres.facet_semigroup(s.facet_id) for s in pres.supports]
+    additive = injective = True
+    seen = {}
+    for _ in range(grading._EXPONENT_MAP_SAMPLES):
+        x = y = la.zero_vector(pres.dim)
+        for c in cols:
+            x = la.vadd(x, la.vscale(rng.randint(0, 2), c))
+            y = la.vadd(y, la.vscale(rng.randint(0, 2), c))
+        ex, ey, exy = (
+            grading._exponents_at(semigroups_, [-v for v in pres.facet_values(z)])
+            for z in (x, y, la.vadd(x, y)))
+        additive &= exy == tuple(a + b for a, b in zip(ex, ey))
+        injective &= seen.setdefault(ex, x) == x
+    return (("exponent_map_additive", additive), ("exponent_map_injective", injective))
+
+
+@pytest.mark.parametrize("exponents", [
+    None,  # the facet exponents themselves
+    lambda sgs, values: tuple(max(0, v) for v in values),  # not additive
+    lambda sgs, values: (sum(values) % 3,),  # neither
+])
+def test_exponent_map_checks_match_degree_reference(monkeypatch, exponents):
+    # summing column facet values draws the same sums as summing degrees,
+    # so every check result agrees, also for maps that fail them
+    if exponents is not None:
+        monkeypatch.setattr(grading, "_exponents_at", exponents)
+    results = set()
+    for rows in [*(rows for rows, _ in CORPUS.values()), PENTAGON_SCORED]:
+        pres = ToricPresentation.build(rows)
+        checks = grading._exponent_map_checks(pres)
+        assert checks == _exponent_map_checks_by_degree(pres), rows
+        results.add(checks)
+    if exponents is not None:
+        assert any(not ok for checks in results for _, ok in checks)
 
 
 def test_non_normal_build_tables_only_the_inner_box():

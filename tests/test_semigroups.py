@@ -14,6 +14,7 @@ from conftest import CORPUS, REPO, enumeration, presentation, reference_cech_ran
 from oracles import (
     escape_count,
     face_membership_search,
+    facet_box_points,
     in_escape_set,
     in_monomial_localization,
     monomial_localization_witness,
@@ -39,7 +40,7 @@ from toriclc import intlinalg as la
 from toriclc import semigroups
 from toriclc.errors import FullLatticeRequired
 from toriclc.problems import parse_problem_file
-from toriclc.semigroups import _facet_box_points, face_residue_reps, line_runs
+from toriclc.semigroups import face_residue_reps, line_runs
 
 
 def test_numerical_semigroup_23():
@@ -126,7 +127,7 @@ def _box_points(pres):
         s.facet_id: pres.facet_semigroup(s.facet_id).conductor + pres.box_margin
         for s in pres.supports
     }
-    return _facet_box_points(pres, caps)
+    return facet_box_points(pres, caps)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -221,7 +222,8 @@ def test_line_runs_match_reference_keys(name, data):
     assert _run_keys(runs, hi) == keys
     assert [semigroups.degree_key(pres, b) for b in line] == keys
     if pres.fast_path is not None:
-        assert [semigroups._failing_facets(pres, pres.fast_path, b) for b in line] == keys
+        assert [semigroups._failing_facets(pres, pres.fast_path, pres.facet_values(b))
+                for b in line] == keys
 
 
 def test_pentagon_scored_has_conductors():
@@ -342,30 +344,35 @@ def test_torsion_face_quotient_turns_scored_fast_path_off(monkeypatch):
 
 
 def _count_table_calls(monkeypatch):
-    """Record every (degree, face) the table oracle is asked from now on."""
+    """Record every (degree, face) the table oracle is asked from now on,
+    and the facet values passed with it (None when none are)."""
     calls = Counter()
+    passed = {}
     table_membership = ToricPresentation._table_membership
 
-    def counted(self, a, face_id):
+    def counted(self, a, face_id, values=None):
         calls[(a, face_id)] += 1
-        return table_membership(self, a, face_id)
+        passed[(a, face_id)] = values
+        return table_membership(self, a, face_id, values)
 
     monkeypatch.setattr(ToricPresentation, "_table_membership", counted)
-    return calls
+    return calls, passed
 
 
 def test_classify_asks_table_oracle_once_per_point_and_face(monkeypatch):
     # the scored route checks every proper face on the verification box and
-    # on the negated box
-    calls = _count_table_calls(monkeypatch)
+    # on the negated box; each question carries the facet values the walk
+    # computed for its point, so the oracle recomputes none
+    calls, passed = _count_table_calls(monkeypatch)
     pres = ToricPresentation.build(CORPUS["dim2_scored_nonnormal"][0])
     box = _box_points(pres)
     points = set(box) | {tuple(-x for x in a) for a in box} | set(
-        _facet_box_points(pres, semigroups._normal_caps(pres)))
+        facet_box_points(pres, semigroups._normal_caps(pres)))
     faces = {f.face_id for f in pres.face_lattice.faces}
     assert calls and max(calls.values()) == 1
     assert all(a in points and f in faces for a, f in calls)
     assert {f for _, f in calls} == faces - {pres.face_lattice.top_id}
+    assert all(values == pres.facet_values(a) for (a, _), values in passed.items())
 
 
 def test_normal_caps_hartshorne(pres_hartshorne):
@@ -375,21 +382,23 @@ def test_normal_caps_hartshorne(pres_hartshorne):
 
 
 def test_normal_build_asks_table_oracle_only_on_normal_box(monkeypatch):
-    calls = _count_table_calls(monkeypatch)
+    calls, passed = _count_table_calls(monkeypatch)
     pres = ToricPresentation.build(CORPUS["dim3_hartshorne"][0])
-    points = _facet_box_points(pres, semigroups._normal_caps(pres))
+    points = facet_box_points(pres, semigroups._normal_caps(pres))
     assert pres.fast_path == "normal"
     assert {f for _, f in calls} == {pres.face_lattice.bottom_id}
-    assert sorted(a for a, _ in calls) == sorted(points)
+    assert list(a for a, _ in calls) == points
     assert len(calls) == sum(calls.values()) == 19
+    assert all(values == pres.facet_values(a) for (a, _), values in passed.items())
 
 
 def _patch_failing_facets(monkeypatch, change):
-    """Pass every failing-facet mask through change(pres, mask)."""
+    """Pass every failing-facet mask, which the classification computes
+    from the facet values its walk carries, through change(pres, mask)."""
     original = semigroups._failing_facets
 
-    def patched(pres, route, a):
-        return change(pres, original(pres, route, a))
+    def patched(pres, route, values):
+        return change(pres, original(pres, route, values))
 
     monkeypatch.setattr(semigroups, "_failing_facets", patched)
 
