@@ -44,6 +44,7 @@ from .semigroups import (
     in_semigroup,
     localization_faces,
     numerical_semigroup,
+    signature_residues,
     smallest_containing_face,
 )
 from .sectors import (
@@ -51,7 +52,6 @@ from .sectors import (
     ClassPoset,
     EquivClass,
     SectorFilter,
-    Signature,
     class_poset,
     degree_signature,
     enumerate_classes,

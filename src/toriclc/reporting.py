@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import cohomology as co
 from . import grading as gr
 from . import sectors as se
-from .semigroups import ToricPresentation
+from .semigroups import ToricPresentation, signature_residues
 
 SCHEMA = "toriclc-report/1"
 
@@ -129,7 +129,7 @@ def _classes_fragment(pres: ToricPresentation,
             "id": cls.class_id,
             "representative": list(cls.representative),
             "sector": sorted(cls.sector),
-            "residues": [sorted(r) for r in cls.signature.residues],
+            "residues": [sorted(r) for r in signature_residues(pres, cls.signature)],
             "samples": [list(p) for p in cls.samples],
         })
     sectors = [

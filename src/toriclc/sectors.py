@@ -5,10 +5,11 @@ residue classes l of the saturation of the face group modulo the face
 group itself, the torsion of Z^d / ZF, satisfy: a - l lies in the
 semigroup translated by the face group.  Residue i is the class with the
 i-th torsion coordinates of Z^d / ZF in lexicographic order, zero first.
-The per-face family of residue sets is the signature of a; degrees
-compare by face-wise inclusion of residue sets, and degrees with equal
-signatures form the (finitely many) equivalence classes that index the
-composition factors of every graded module built from monomial
+The per-face family of residue sets is the signature of a, held as one
+int with a bit per face and residue (semigroups.key_signature); degrees
+compare by face-wise inclusion of residue sets, a bit test, and degrees
+with equal signatures form the (finitely many) equivalence classes that
+index the composition factors of every graded module built from monomial
 localizations.
 
 The coarser sector partition only remembers, per face, whether the zero
@@ -22,11 +23,10 @@ Each growth step scans only the shell outside the previous box, a scan
 line at a time, and each line a run of constant key at a time
 (semigroups.line_runs).  A degree enters only through its key: on the
 normal and scored fast paths the mask of the facets failing the route's
-test, on the table path its membership bit per face and residue.  So a
-degree's signature is decoded from its key (semigroups.key_residues),
-memoized per key on the presentation, and the class scan collects keys,
-decoding one per class.  Only face_residues, the per-query reference,
-builds residue representative vectors.
+test, on the table path its signature.  The class scan collects keys and
+turns one per class into its signature.  This module treats a signature
+as an opaque int; only face_residues, the per-query reference, builds
+residue representative vectors.
 """
 
 from __future__ import annotations
@@ -42,22 +42,16 @@ from .semigroups import (
     degree_key,
     face_residue_reps,
     in_face_localization,
-    key_residues,
+    key_signature,
     line_runs,
     localization_faces,
     scan_lines,
 )
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Per-face residue sets, indexed by face id; hashable and canonical."""
-
-    residues: tuple  # tuple of frozensets of residue indices
-
-
-def signature_leq(a: Signature, b: Signature) -> bool:
-    return all(x <= y for x, y in zip(a.residues, b.residues))
+def signature_leq(a: int, b: int) -> bool:
+    """Face-wise inclusion of residue sets: every bit of a is set in b."""
+    return not a & ~b
 
 
 def face_residues(pres: ToricPresentation, a, face_id: int) -> frozenset:
@@ -72,13 +66,9 @@ def face_residues(pres: ToricPresentation, a, face_id: int) -> frozenset:
     )
 
 
-def degree_signature(pres: ToricPresentation, a) -> Signature:
-    """Per-face residue sets of the degree, decoded from its key."""
-    return Signature(key_residues(pres, degree_key(pres, a)))
-
-
-def sector_of_signature(sig: Signature) -> frozenset:
-    return frozenset(fid for fid, res in enumerate(sig.residues) if 0 in res)
+def degree_signature(pres: ToricPresentation, a) -> int:
+    """The signature of the degree, read off its key."""
+    return key_signature(pres, degree_key(pres, a))
 
 
 def sector_faces(pres: ToricPresentation, a) -> frozenset:
@@ -89,7 +79,7 @@ def sector_faces(pres: ToricPresentation, a) -> frozenset:
 @dataclass(frozen=True)
 class EquivClass:
     class_id: int
-    signature: Signature
+    signature: int
     representative: la.Vector
     sector: frozenset
     samples: tuple
@@ -138,9 +128,9 @@ def enumerate_classes(pres: ToricPresentation, *, initial_radius=None,
     box, a scan line at a time: earlier steps already covered the inner
     points, so they can add no class and no sample.  A line is walked by
     its runs of constant key (semigroups.line_runs), and a run gives its
-    first degrees as samples of its key.  Distinct keys decode to distinct
+    first degrees as samples of its key.  Distinct keys have distinct
     signatures on every route, so the classes are the keys found, and each
-    class's signature is decoded once, at the end (key_residues).
+    class's signature is read once, at the end (key_signature).
     Stops once STABLE_STEPS consecutive growths add no new signature.
     Class ids are assigned in order of first discovery under a
     lexicographic scan of each shell, so results are deterministic.
@@ -169,16 +159,16 @@ def enumerate_classes(pres: ToricPresentation, *, initial_radius=None,
         if stable >= STABLE_STEPS:
             break
         inner, radius = radius, radius * GROWTH
-    signatures = [Signature(key_residues(pres, key)) for key in samples]
+    faces = range(len(pres.face_lattice))
     classes = tuple(
         EquivClass(
             class_id=i,
-            signature=sig,
+            signature=key_signature(pres, key),
             representative=la.vec(pts[0]),
-            sector=sector_of_signature(sig),
+            sector=localization_faces(pres, pts[0], faces, key),
             samples=la.mat(pts),
         )
-        for i, (sig, pts) in enumerate(zip(signatures, samples.values()))
+        for i, (key, pts) in enumerate(samples.items())
     )
     return ClassEnumeration(classes, radius, tuple(history))
 

@@ -39,16 +39,19 @@ sector data of Helm-Miller's sector partition).  Along a scan line a
 facet's bit changes only at its sign threshold and, on the scored route,
 beside the few degrees where its value is a gap.  A face's residues are
 the elements of the torsion of Z^d / ZF, indexed by their torsion
-coordinates in lexicographic order.  A shortcut runs only where every
-face quotient is torsion-free, so each face there has the zero residue
-alone.  On the table path the key holds one membership bit per proper
-face and residue, read off tables keyed by facet values and torsion
-coordinates, with no representative vectors.  One line kernel
-(line_runs) cuts a line into maximal runs of constant key on every route;
-the class scan and socle probes walk their boxes a run at a time.  One
-decode (key_residues), memoized per key on the presentation, turns a key
-into its residue sets per face, the signature, from which the faces
-present are read.
+coordinates in lexicographic order.  A degree's signature is one int in
+the layout _key_bits, with a bit per face and residue, set iff the degree
+minus the residue lies in the face's localization.  A shortcut runs only
+where every face quotient is torsion-free, so each face there has the
+zero residue alone, and key_signature sets its bit from the mask,
+memoized per key.  On the table path the key is the signature, read off
+tables keyed by facet values and torsion coordinates, with no
+representative vectors.  One line kernel (line_runs) cuts a line into
+maximal runs of constant key on every route; the class scan and socle
+probes walk their boxes a run at a time.  Signatures compare by bit
+tests, the faces present are read at the layout offsets, and
+signature_residues is the one decode into residue sets; only this module
+knows the layout.
 """
 
 from __future__ import annotations
@@ -206,7 +209,7 @@ class ToricPresentation:
         self._tables = {}
         self._residue_reps = {}
         self._cech_tables = {}
-        self._residues_by_key = {}
+        self._signatures = {}
         self._key_layout = None
         # grading's generator monomials and exponent-map checks, on first use
         self._exponent_map = None
@@ -414,11 +417,12 @@ def _failing_facets(pres: ToricPresentation, route: str, values) -> int:
 
 def localization_faces(pres: ToricPresentation, a, face_ids, key=None) -> frozenset:
     """The faces among face_ids whose localization (semigroup + group of the
-    face) contains the degree: those that hold residue 0 in the decode of
-    the degree's key (key_residues), computed unless given."""
+    face) contains the degree: those whose zero-residue bit is set in the
+    signature of the degree's key (key_signature), computed unless given."""
     pres._require_pointed()
-    residues = key_residues(pres, degree_key(pres, a) if key is None else key)
-    return frozenset(f for f in face_ids if 0 in residues[f])
+    sig = key_signature(pres, degree_key(pres, a) if key is None else key)
+    layout = _key_bits(pres)
+    return frozenset(f for f in face_ids if sig >> layout[f][1] & 1)
 
 
 def in_semigroup(pres: ToricPresentation, a) -> bool:
@@ -468,18 +472,19 @@ def face_residue_reps(pres: ToricPresentation, face_id: int) -> tuple:
 
 
 def _key_bits(pres: ToricPresentation) -> tuple:
-    """The table-path key layout: (face id, first bit, residues) per proper
-    face, by face id, with one bit per residue.  The residues are the
-    tuples k of torsion coordinates of Z^d / ZF, in the order of the face
-    table's torsion columns, listed lexicographically."""
+    """The signature layout: (face id, first bit, residues) per face, by
+    face id, one bit per residue: a tuple k of torsion coordinates of
+    Z^d / ZF in the order of the face table's columns, lexicographically.
+    The full cone, and every face on a fast path, has k = () alone."""
     if pres._key_layout is None:
         layout, offset = [], 0
         for face in pres.face_lattice.faces:
-            if face.face_id != pres.face_lattice.top_id:
+            residues = ((),)
+            if pres.fast_path is None and face.face_id != pres.face_lattice.top_id:
                 torsion = pres._table(face.face_id).torsion
                 residues = tuple(product(*(range(m) for _, m in torsion)))
-                layout.append((face.face_id, offset, residues))
-                offset += len(residues)
+            layout.append((face.face_id, offset, residues))
+            offset += len(residues)
         pres._key_layout = tuple(layout)
     return pres._key_layout
 
@@ -492,9 +497,13 @@ def _table_keys(pres: ToricPresentation, prefix, last: int, lo: int, hi: int) ->
     is grown once, to the largest values there.  A degree a holds the
     residue with torsion coordinates k iff a - r_k is a member, iff its
     table key, the facet values (F_s(r_k) = 0) and the torsion coordinates
-    (t(a) - k) mod m with t(a) = t0 + dt * x, is in the table."""
-    keys = [0] * (hi - lo)
+    (t(a) - k) mod m with t(a) = t0 + dt * x, is in the table.  The full
+    cone's localization is Z^d, so every key starts with its bit set."""
+    top = pres.face_lattice.top_id
+    keys = [1 << _key_bits(pres)[top][1]] * (hi - lo)
     for face_id, offset, residues in _key_bits(pres):
+        if face_id == top:
+            continue
         start, stop, lines = lo, hi, []
         for s in pres._zero_facet_ids[face_id]:
             coefficients = pres.supports[s].coefficients
@@ -538,9 +547,9 @@ def line_runs(pres: ToricPresentation, prefix, lo: int, hi: int, shift=None) -> 
     F_s = base + slope * x, so bit s toggles only at the sign threshold and
     at x and x + 1 for an x where F_s is a gap; toggles at one x are XORed,
     and an x where they cancel starts no run.  On the table path the key
-    has one bit per proper face F and residue representative r (_key_bits),
-    set iff a - r lies in the semigroup + ZF, every table-path answer; the
-    bits of a line are read off the tables (_table_keys)."""
+    is the signature: one bit per face F and residue representative r
+    (_key_bits), set iff a - r lies in the semigroup + ZF, every table-path
+    answer; the bits of a line are read off the tables (_table_keys)."""
     last = 0
     if shift is not None:
         # map and the dot products below stop at the end of the prefix
@@ -584,26 +593,26 @@ def degree_key(pres: ToricPresentation, a):
     return line_runs(pres, a[:-1], a[-1], a[-1] + 1)[0][1]
 
 
-def key_residues(pres: ToricPresentation, key) -> tuple:
-    """Per face, by face id, the frozenset of residue indices i with a - r_i
-    in the face's localization, for every degree a of the key, memoized per
-    key; r_i has the i-th torsion coordinates of the face's layout
-    (_key_bits).  On the table path these are the key's bits, and the full
-    cone holds the zero residue alone.  A fast path runs only where every
-    face quotient is torsion-free (_classify), so a face holds its one
-    residue, zero, iff its zero-facet mask misses the key (see line_runs)."""
-    residues = pres._residues_by_key.get(key)
-    if residues is None:
-        if pres.fast_path is None:
-            residues = [frozenset((0,))] * len(pres.face_lattice)
-            for face_id, offset, ks in _key_bits(pres):
-                residues[face_id] = frozenset(
-                    i for i in range(len(ks)) if key >> offset + i & 1)
-        else:
-            residues = [frozenset(() if mask & key else (0,))
-                        for mask in pres._zero_facet_masks]
-        residues = pres._residues_by_key[key] = tuple(residues)
-    return residues
+def key_signature(pres: ToricPresentation, key) -> int:
+    """The signature of every degree of the key: the key itself on the table
+    path; on a fast path, where every face quotient is torsion-free
+    (_classify), one bit per face, set iff its zero-facet mask misses the
+    key (see line_runs), memoized per key."""
+    if pres.fast_path is None:
+        return key
+    sig = pres._signatures.get(key)
+    if sig is None:
+        sig = pres._signatures[key] = sum(
+            1 << f for f, mask in enumerate(pres._zero_facet_masks) if not mask & key)
+    return sig
+
+
+def signature_residues(pres: ToricPresentation, sig) -> tuple:
+    """Per face, by face id, the frozenset of residue indices i whose bit the
+    signature sets, r_i having the i-th torsion coordinates of the face's
+    layout (_key_bits): a - r_i is in the face's localization."""
+    return tuple(frozenset(i for i in range(len(ks)) if sig >> offset + i & 1)
+                 for _, offset, ks in _key_bits(pres))
 
 
 def scan_lines(dim: int, radius: int, inner: int = -1):

@@ -17,6 +17,7 @@ from toriclc import (
     assemble_module,
     cech_ranks,
     class_poset,
+    enumerate_classes,
     in_semigroup,
     ishida_ranks,
     local_cohomology_max,
@@ -476,8 +477,8 @@ def test_cech_ranks_hit_queries_faces_and_builds_nothing(monkeypatch):
 
 def test_socle_probe_asks_cech_ranks_once_per_key(monkeypatch):
     # the probe asks cech_ranks at most once per degree key, and the faces
-    # present are read off the per-key decode, whose memo then holds those
-    # keys and the one of the degree that built the per-ideal table
+    # present are read off the per-key signature, whose memo then holds
+    # those keys and the one of the degree that built the per-ideal table
     pres = ToricPresentation.build(CORPUS["dim3_hartshorne"][0])
     assert pres.fast_path == "normal"
     ideal = MonomialIdeal.from_degrees(pres, CORPUS["dim3_hartshorne"][1])
@@ -496,10 +497,23 @@ def test_socle_probe_asks_cech_ranks_once_per_key(monkeypatch):
     assert max(keys.values()) == 1
     # the probe hands over the key its walk holds, so none is recomputed
     assert passed == [semigroups.degree_key(pres, a) for a in asked]
-    assert set(pres._residues_by_key) == set(keys) | {semigroups.degree_key(pres, (0, 0, 0))}
+    assert set(pres._signatures) == set(keys) | {semigroups.degree_key(pres, (0, 0, 0))}
     # one slice per new memo entry; the entry for (0, 0, 0) was already there
     table = pres._cech_tables[ideal.generator_degrees]
     assert len(slices) == len(table.ranks) - 1
+
+
+@pytest.mark.parametrize("name", ["dim2_normal", "dim3_hartshorne", "hexagon"])
+def test_normal_route_builds_no_face_quotient_or_table(name):
+    # on a fast path the signature layout gives every face one bit without
+    # a table, so a class scan and an assembly leave only the bottom face's
+    # table and quotient, which the classification builds
+    pres = (_bench_problem(name) if name == "hexagon"
+            else ToricPresentation.build(CORPUS[name][0]))
+    assert pres.fast_path == "normal"
+    assemble_module(pres, MonomialIdeal.maximal_ideal(pres), enumerate_classes(pres))
+    bottom = {pres.face_lattice.bottom_id}
+    assert set(pres._tables) == set(pres._face_quotients) == bottom
 
 
 # most random matrices do not generate the integer lattice

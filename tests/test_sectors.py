@@ -5,6 +5,8 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS, enumeration, presentation
 from report_digests import DIGESTS, digest
@@ -22,7 +24,13 @@ from toriclc import (
 from toriclc import intlinalg as la
 from toriclc import sectors, semigroups
 from toriclc.sectors import face_residue_reps
-from toriclc.semigroups import degree_key, key_residues, line_runs, scan_lines
+from toriclc.semigroups import (
+    degree_key,
+    key_signature,
+    line_runs,
+    scan_lines,
+    signature_residues,
+)
 
 # every route: the corpus, the scored pentagon's nonzero conductors and
 # table2d_a's torsion on the table path
@@ -97,9 +105,9 @@ TORSION_PROBLEMS = {
 @pytest.mark.parametrize("name", sorted(TORSION_PROBLEMS))
 def test_decode_labels_residues_by_lexicographic_torsion_coordinates(name):
     # residue i of a face is the i-th torsion tuple of Z^d / ZF in
-    # lexicographic order, both in the key layout and for the representative
-    # the per-query reference subtracts, so the decode of a degree's key
-    # equals the reference residue sets face by face
+    # lexicographic order, both in the signature layout and for the
+    # representative the per-query reference subtracts, so the decode of a
+    # degree's signature equals the reference residue sets face by face
     rows, torsion = TORSION_PROBLEMS[name]
     pres = ToricPresentation.build(rows)
     assert pres.fast_path is None
@@ -111,12 +119,11 @@ def test_decode_labels_residues_by_lexicographic_torsion_coordinates(name):
         coordinates = [tuple(y for y, m in zip(q.project(rep), q._moduli) if m >= 2)
                        for rep in face_residue_reps(pres, face.face_id)]
         assert coordinates == list(product(*map(range, q.torsion_invariants)))
-        if face.face_id != pres.face_lattice.top_id:
-            assert list(layout[face.face_id]) == coordinates
+        assert list(layout[face.face_id]) == coordinates
     assert seen - {()} == torsion
     faces = [f.face_id for f in pres.face_lattice.faces]
     for a in product(range(-3, 4), repeat=pres.dim):
-        assert key_residues(pres, degree_key(pres, a)) == tuple(
+        assert signature_residues(pres, degree_signature(pres, a)) == tuple(
             face_residues(pres, a, f) for f in faces), a
 
 
@@ -310,20 +317,39 @@ def _rescan_extension(classes, below):
     return tuple(out)
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", [*ROUTES, "hexagon"])
 def test_class_poset_extension_matches_rescan(name):
-    classes = enumeration(name).classes
+    # the strict pairs are the face-wise inclusions of the per-query residue
+    # sets at the class representatives, with torsion residues (table2d_a)
+    # and a 14-face cone (hexagon)
+    pres, _, enum = _keyed(name)
+    classes = enum.classes
     poset = class_poset(classes)
     assert poset.linear_extension == _rescan_extension(classes, poset.strictly_below)
+    faces = range(len(pres.face_lattice))
+    residues = {c.class_id: [face_residues(pres, c.representative, f) for f in faces]
+                for c in classes}
     assert sorted(poset.strictly_below) == sorted(
-        (a.class_id, b.class_id) for a in classes for b in classes
-        if a is not b and signature_leq(a.signature, b.signature))
+        (a, b) for a in residues for b in residues
+        if a != b and all(map(frozenset.issubset, residues[a], residues[b])))
+
+
+@pytest.mark.parametrize("name", ROUTES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_signature_leq_is_facewise_residue_inclusion(name, data):
+    pres = _keyed(name)[0]
+    a, b = (data.draw(st.tuples(*[st.integers(-6, 6)] * pres.dim), label=label)
+            for label in ("a", "b"))
+    faces = range(len(pres.face_lattice))
+    assert signature_leq(degree_signature(pres, a), degree_signature(pres, b)) == all(
+        face_residues(pres, a, f) <= face_residues(pres, b, f) for f in faces)
 
 
 def test_single_class_trivial_order():
-    from toriclc.sectors import EquivClass, Signature
+    from toriclc.sectors import EquivClass
 
-    cls = EquivClass(0, Signature((frozenset({0}),)), (0,), frozenset({0}), ((0,),))
+    cls = EquivClass(0, 1, (0,), frozenset({0}), ((0,),))
     poset = class_poset([cls])
     assert poset.linear_extension == (0,)
     assert poset.strictly_below == ()
@@ -359,14 +385,15 @@ def test_class_samples_distinct_and_led_by_representative(name):
 
 @pytest.mark.parametrize("name", ["dim1_weyl", "dim2_nonscored", "dim3_hartshorne"])
 def test_class_scan_computes_each_signature_of_final_box_once(name, monkeypatch):
-    # every route: the scan collects the keys of the final box and decodes
-    # each once, for its class, in class order; the per-key memo holds
-    # exactly those keys
+    # every route: the scan collects the keys of the final box and turns
+    # each into its signature once, for its class, in class order; on a
+    # fast path the per-key memo holds exactly those keys, on the table
+    # path the key is the signature
     pres = ToricPresentation.build(CORPUS[name][0])
     decoded = Counter()
     monkeypatch.setattr(
-        sectors, "key_residues",
-        lambda p, key: decoded.update([key]) or key_residues(p, key))
+        sectors, "key_signature",
+        lambda p, key: decoded.update([key]) or key_signature(p, key))
     enum = sectors.enumerate_classes(pres)
     r = enum.radius
     box = list(product(range(-r, r + 1), repeat=pres.dim))
@@ -374,9 +401,13 @@ def test_class_scan_computes_each_signature_of_final_box_once(name, monkeypatch)
     assert max(decoded.values()) == 1
     assert set(decoded) == keys
     assert len(decoded) == len(enum.classes) < len(box)
-    assert set(pres._residues_by_key) == keys
-    assert [c.signature.residues for c in enum.classes] == [
-        key_residues(pres, key) for key in decoded]
+    if pres.fast_path is None:
+        assert not pres._signatures
+        assert all(key_signature(pres, key) == key for key in keys)
+    else:
+        assert set(pres._signatures) == keys
+    assert [c.signature for c in enum.classes] == [
+        key_signature(pres, key) for key in decoded]
     assert enum.classes == enumeration(name).classes
 
 
@@ -393,15 +424,16 @@ def _final_box_keys(pres, radius):
 @pytest.mark.parametrize("name", ROUTES)
 def test_final_box_keys_decode_to_distinct_signatures(name):
     # the class scan counts keys as classes: on every route, distinct keys
-    # of the final box decode to distinct signatures, each the per-query
-    # residue sets at a degree of the key
+    # of the final box have distinct signatures, each decoding to the
+    # per-query residue sets at a degree of the key
     pres, _, enum = _keyed(name)
     firsts = _final_box_keys(pres, enum.radius)
     faces = range(len(pres.face_lattice))
-    signatures = {key: key_residues(pres, key) for key in firsts}
+    signatures = {key: key_signature(pres, key) for key in firsts}
     assert len(set(signatures.values())) == len(firsts) == len(enum.classes)
     for key, a in firsts.items():
-        assert signatures[key] == tuple(face_residues(pres, a, f) for f in faces), a
+        assert signature_residues(pres, signatures[key]) == tuple(
+            face_residues(pres, a, f) for f in faces), a
 
 
 @pytest.mark.parametrize("name", ROUTES)

@@ -161,10 +161,12 @@ TABLE2D_A = [[3, 0, 1, 2, 1, 2], [0, 3, 1, 1, 2, 2]]
 
 @cache
 def _keyed(name):
-    """Presentation, ideal and class enumeration of a corpus problem, the
-    scored pentagon or table2d_a."""
-    if name in ("pentagon_scored", "table2d_a"):
-        pres = ToricPresentation.build(PENTAGON_SCORED if name == "pentagon_scored" else TABLE2D_A)
+    """Presentation, ideal and class enumeration of a corpus problem, or of
+    a benchmark problem (such as the scored pentagon, table2d_a or the
+    hexagon) with its maximal ideal."""
+    if name not in CORPUS:
+        pres = ToricPresentation.build(parse_problem_file(
+            REPO / "perfbench" / "problems" / f"{name}.toric").matrix_rows)
         return pres, MonomialIdeal.maximal_ideal(pres), enumerate_classes(pres)
     pres, spec = presentation(name), CORPUS[name][1]
     ideal = (MonomialIdeal.maximal_ideal(pres) if spec == "maximal"
@@ -177,13 +179,13 @@ def _reference_key(pres, a):
     """A degree's key, one degree at a time.  On a fast path, from its own
     facet values: the mask of the facets whose value is negative (route
     normal) or outside the facet numerical semigroup (route scored).  On
-    the table path, from the depth-first oracle: one bit per proper face,
-    by face id, and residue representative r, set iff a - r lies in the
-    face's localization."""
+    the table path, from the depth-first oracle: one bit per face, by face
+    id, and residue representative r, set iff a - r lies in the face's
+    localization; the full cone's one bit is always set."""
     if pres.fast_path is None:
         bits = [
             face_membership_search(pres, la.vsub(a, rep), face.face_id, search_bound=100)
-            for face in pres.face_lattice.faces if face.face_id != pres.face_lattice.top_id
+            for face in pres.face_lattice.faces
             for rep in face_residue_reps(pres, face.face_id)]
         return sum(1 << i for i, bit in enumerate(bits) if bit)
     return sum(
@@ -246,7 +248,7 @@ def test_localization_faces_match_search_and_residues(name, data):
     faces = [f.face_id for f in pres.face_lattice.faces]
     assert localization_faces(pres, a, faces) == frozenset(
         f for f in faces if face_membership_search(pres, a, f, search_bound=100))
-    assert degree_signature(pres, a).residues == tuple(
+    assert semigroups.signature_residues(pres, degree_signature(pres, a)) == tuple(
         face_residues(pres, a, f) for f in faces)
     # the runs of the scan line through a, translated by a column or not,
     # expand to every degree's own key; degrees sharing a key share every
@@ -267,7 +269,7 @@ def test_localization_faces_match_search_and_residues(name, data):
         assert localization_faces(pres, b, faces) == present
         assert [module_support(pres, ideal, k, b) for k in range(len(ranks))] == \
             [r > 0 for r in ranks]
-        assert semigroups.key_residues(pres, key) == residues
+        assert semigroups.signature_residues(pres, semigroups.key_signature(pres, key)) == residues
 
 
 def test_dfs_agrees_off_box(pres_2dim):
