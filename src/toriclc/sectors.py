@@ -34,6 +34,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import intlinalg as la
 from .errors import CycleDetected
@@ -103,12 +104,15 @@ class ClassEnumeration:
     def by_id(self, class_id: int) -> EquivClass:
         return self.classes[class_id]
 
+    @cached_property
+    def _by_signature(self) -> dict:
+        return {cls.signature: cls for cls in self.classes}
+
     def class_of(self, pres: ToricPresentation, a) -> EquivClass:
-        sig = degree_signature(pres, la.vec(a))
-        for cls in self.classes:
-            if cls.signature == sig:
-                return cls
-        raise KeyError(f"degree {a} has a signature outside the enumerated classes")
+        cls = self._by_signature.get(degree_signature(pres, la.vec(a)))
+        if cls is None:
+            raise KeyError(f"degree {a} has a signature outside the enumerated classes")
+        return cls
 
 
 def default_initial_radius(pres: ToricPresentation) -> int:

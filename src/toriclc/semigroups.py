@@ -9,8 +9,8 @@ every simplicial cone spanned by columns.  The other two flags are checked
 exhaustively on a finite facet-value box, reported together with that box:
 a false flag has a witness there, a true one is the exact definition
 restricted to the box, not a global proof.  Each box is walked lazily, a
-point with its facet values at a time, and each check stops at its first
-witness.
+point with its facet values at a time; each check reads the face tables
+directly, once per distinct table key, and stops at its first witness.
 
 Membership decisions are exact.  Key observation: every representation of
 a degree as a nonnegative combination of columns (plus an element of a
@@ -57,10 +57,10 @@ knows the layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from math import gcd
-from operator import add, gt, le, mod, mul
+from operator import add, gt, lshift, mul
 
 from . import intlinalg as la
 from .cones import (
@@ -211,6 +211,8 @@ class ToricPresentation:
         self._cech_tables = {}
         self._signatures = {}
         self._key_layout = None
+        # _box_walk's (basis facet, lift, its values) per level, other facets
+        self._walk_lifts = None
         # grading's generator monomials and exponent-map checks, on first use
         self._exponent_map = None
         self._zero_facet_masks = ()
@@ -303,47 +305,48 @@ class ToricPresentation:
     def _grown_table(self, face_id: int, vals):
         """The face's table, first rebuilt when a facet value exceeds its cap:
         each cap doubles, or grows to the value or the base cap, never past
-        the ceiling; a value above the ceiling raises SearchBoundExceeded."""
+        the ceiling, the largest facet value reachable by a representation
+        whose coefficients stay within the search bound (the coefficient
+        bound of the tests' depth-first oracle); a value above the ceiling
+        raises SearchBoundExceeded."""
         tbl = self._table(face_id)
         if tbl.caps is None or any(map(gt, vals, tbl.caps)):
-            ceiling = self._table_ceiling()
             needed = []
             for v, s, old in zip(vals, tbl.relevant, tbl.caps or (0,) * len(vals)):
-                if v > ceiling[s]:
-                    raise SearchBoundExceeded(
-                        f"facet value {v} is above the table ceiling "
-                        f"{ceiling[s]}; raise the search bound"
-                    )
                 base = self.facet_semigroup(s).conductor + self.box_margin
+                colsum = sum(self.supports[s].value(c) for c in self.columns)
+                ceiling = max(self.search_bound * max(1, colsum), 4 * base, 64)
+                if v > ceiling:
+                    raise SearchBoundExceeded(f"facet value {v} is above the table "
+                                              f"ceiling {ceiling}; raise the search bound")
                 # double for amortization, but never past the ceiling
-                needed.append(min(max(base, v, 2 * old), ceiling[s]))
+                needed.append(min(max(base, v, 2 * old), ceiling))
             tbl.rebuild(needed, self.table_state_limit)
         return tbl
 
-    def _table_membership(self, a, face_id: int, values=None) -> bool:
-        """Whether a lies in the face's localization, read off its table;
-        values, when given, are a's facet values by facet id and are not
-        recomputed."""
-        relevant = self._zero_facet_ids[face_id]
-        if values is None:
-            vals = tuple(self.supports[s].value(a) for s in relevant)
-        else:
-            vals = tuple(map(values.__getitem__, relevant))
-        if any(v < 0 for v in vals):
-            return False
-        tbl = self._grown_table(face_id, vals)
-        return vals + tuple(sum(map(mul, a, c)) % m for c, m in tbl.torsion) in tbl.keys
+    def _table_membership(self, a, face_id: int) -> bool:
+        """Whether a lies in the face's localization, read off its table."""
+        return self._table_holds(face_id, self._table_key(face_id, a, self.facet_values(a)))
 
-    def _table_ceiling(self) -> dict:
-        """Per-facet bound on table caps: the largest facet value reachable
-        by a representation whose coefficients stay within the search bound,
-        mirroring the coefficient bound of the tests' depth-first oracle."""
-        out = {}
-        for s in self.supports:
-            colsum = sum(s.value(c) for c in self.columns)
-            base = self.facet_semigroup(s.facet_id).conductor + self.box_margin
-            out[s.facet_id] = max(self.search_bound * max(1, colsum), 4 * base, 64)
-        return out
+    def _table_key(self, face_id: int, a, values):
+        """The key of a in the face's table, from its facet values by facet
+        id, or None when a facet containing the face is negative on a, which
+        puts a outside the localization; only a key creates the table."""
+        vals = tuple(map(values.__getitem__, self._zero_facet_ids[face_id]))
+        if min(vals) < 0:
+            return None
+        torsion = self._table(face_id).torsion
+        return vals + tuple(sum(map(mul, a, c)) % m for c, m in torsion) if torsion else vals
+
+    def _table_holds(self, face_id: int, key) -> bool:
+        """Whether a key of the face's table (None: outside every table) is a
+        member.  A table holds no key above its caps, so only a miss can need
+        it grown (_grown_table), after which its keys are read again."""
+        if key is None:
+            return False
+        keys = self._table(face_id).keys
+        return keys is not None and key in keys or \
+            key in self._grown_table(face_id, key[:len(self._zero_facet_ids[face_id])]).keys
 
 
 class _BfsTable:
@@ -359,6 +362,10 @@ class _BfsTable:
     with the torsion coordinate columns, reduced mod their moduli).  Both
     are homomorphisms, so a move steps a key by adding its increments and
     reducing the residues, and a degree is a member iff its key is in keys.
+    The search packs a key into one int, a bit field per coordinate that
+    holds it plus an offset setting the field's top bit once a facet value
+    passes its cap, which no move undoes, or a torsion coordinate reaches
+    its modulus, which is then subtracted.
     """
 
     __slots__ = ("relevant", "torsion", "moves", "caps", "keys")
@@ -372,34 +379,41 @@ class _BfsTable:
 
     def rebuild(self, caps, state_limit: int) -> None:
         caps = tuple(caps)
-        k = len(caps)
         moduli = tuple(m for _, m in self.torsion)
-        steps = [vals + tuple(sum(map(mul, col, c)) % m for c, m in self.torsion)
-                 for col, vals in self.moves]
-        origin = (0,) * (k + len(moduli))
-        keys = {origin}
-        frontier = [origin]
+        steps = {vals + tuple(sum(map(mul, col, c)) % m for c, m in self.torsion)
+                 for col, vals in self.moves}
+        bounds = caps + tuple(m - 1 for m in moduli)
+        top = 1 << (max(bounds) + max(map(max, steps), default=0)).bit_length()
+        shifts = range(0, len(bounds) * top.bit_length(), top.bit_length())
+        offsets = [top - 1 - b for b in bounds]
+        over = sum(top << shift for shift in shifts[:len(caps)])
+        wraps = [(top << shift, m << shift) for shift, m in zip(shifts[len(caps):], moduli)]
+        moves = [sum(map(lshift, step, shifts)) for step in steps]
+        origin = sum(map(lshift, offsets, shifts))
+        states, frontier = {origin}, [origin]
         while frontier:
             nxt = []
-            for key in frontier:
-                for step in steps:
-                    new = tuple(map(add, key, step))
-                    # map stops at the caps, so only facet values are capped
-                    if not all(map(le, new, caps)):
+            for state in frontier:
+                for move in moves:
+                    new = state + move
+                    if new & over:
                         continue
-                    if moduli:
-                        new = new[:k] + tuple(map(mod, new[k:], moduli))
-                    if new not in keys:
-                        keys.add(new)
+                    for bit, m in wraps:
+                        if new & bit:
+                            new -= m
+                    if new not in states:
+                        states.add(new)
                         nxt.append(new)
-            if len(keys) > state_limit:
+            if len(states) > state_limit:
                 # leave any previously built table intact
-                raise SearchBoundExceeded(
-                    f"membership table needs more than {state_limit} states"
-                )
+                raise SearchBoundExceeded(f"membership table needs more than {state_limit} states")
             frontier = nxt
-        self.caps = caps
+        field = 2 * top - 1
+        keys = {tuple((state >> shift & field) - offset for shift, offset in zip(shifts, offsets))
+                for state in states}
+        # keys first: a reader that sees the new caps must see their keys
         self.keys = keys
+        self.caps = caps
 
 
 # -- public membership oracles ----------------------------------------------
@@ -439,9 +453,8 @@ def in_face_localization(pres: ToricPresentation, a, face_id: int) -> bool:
         return True
     if pres.fast_path is None:
         return pres._table_membership(a, face_id)
-    # the degree's mask misses the face's zero facets
-    return not any(_fails(pres, pres.fast_path, s, pres.supports[s].value(a))
-                   for s in pres._zero_facet_ids[face_id])
+    # the degree's key, its failing-facet mask, misses the face's zero facets
+    return not degree_key(pres, a) & pres._zero_facet_masks[face_id]
 
 
 def smallest_containing_face(pres: ToricPresentation, b) -> int:
@@ -590,7 +603,8 @@ def line_runs(pres: ToricPresentation, prefix, lo: int, hi: int, shift=None) -> 
 def degree_key(pres: ToricPresentation, a):
     """The key of one degree, as line_runs gives it."""
     a = la.vec(a)
-    return line_runs(pres, a[:-1], a[-1], a[-1] + 1)[0][1]
+    return (_failing_facets(pres, pres.fast_path, pres.facet_values(a)) if pres.fast_path
+            else _table_keys(pres, a[:-1], 0, a[-1], a[-1] + 1)[0])
 
 
 def key_signature(pres: ToricPresentation, key) -> int:
@@ -642,42 +656,41 @@ def _box_walk(pres: ToricPresentation, caps):
     row is the value tuple of the matching row of the unimodular transform;
     facet values are linear, so a point and all its facet values are
     carried along as the same combination of those rows, and the remaining
-    facets are filtered at the end."""
-    basis_ids = []
-    rows = []
-    for s in pres.supports:
-        cand = rows + [s.coefficients]
-        if la.rank(la.mat(cand)) == len(cand):
-            rows.append(s.coefficients)
-            basis_ids.append(s.facet_id)
-        if len(rows) == pres.dim:
-            break
-    others = [s.facet_id for s in pres.supports if s.facet_id not in basis_ids]
-    # image lattice of a |-> (F(a)) is generated by the value vectors of
-    # the unit directions, i.e. the columns of the basis-normal matrix
-    image_basis, transform = la.hermite_normal_form(la.transpose(la.mat(rows)))
-    lifts = []
-    for row, lift in zip(image_basis, transform):
-        values = pres.facet_values(lift)
-        if tuple(values[s] for s in basis_ids) != tuple(row):
-            raise AssertionError(f"facet values of {lift} are not {row}")
-        lifts.append((lift, values))
+    facets are filtered at the end.  The basis facets, the Hermite form and
+    the lifts are computed once per presentation, whatever the caps."""
+    if pres._walk_lifts is None:
+        basis_ids, rows = [], []
+        for s in pres.supports:
+            if len(rows) < pres.dim and la.rank(la.mat([*rows, s.coefficients])) > len(rows):
+                rows.append(s.coefficients)
+                basis_ids.append(s.facet_id)
+        # image lattice of a |-> (F(a)) is generated by the value vectors of
+        # the unit directions, i.e. the columns of the basis-normal matrix
+        image_basis, transform = la.hermite_normal_form(la.transpose(la.mat(rows)))
+        lifts = []
+        for facet_id, row, lift in zip(basis_ids, image_basis, transform):
+            values = pres.facet_values(lift)
+            if tuple(values[s] for s in basis_ids) != tuple(row):
+                raise AssertionError(f"facet values of {lift} are not {row}")
+            lifts.append((facet_id, lift, values))
+        others = tuple(s.facet_id for s in pres.supports if s.facet_id not in basis_ids)
+        pres._walk_lifts = tuple(lifts), others
+    lifts, others = pres._walk_lifts
 
     def step(level, point, values):
-        if level == len(lifts):
-            if all(0 <= values[s] <= caps[s] for s in others):
-                yield point, values
-            return
-        lift, shift = lifts[level]
-        s = basis_ids[level]
-        pivot = shift[s]
+        s, lift, shift = lifts[level]
         # the Hermite basis is triangular: later levels cannot change this
         # facet value, so its box constraint pins the coefficient range here
-        y = -(values[s] // pivot)
-        while values[s] + y * pivot <= caps[s]:
-            yield from step(level + 1, tuple(p + y * u for p, u in zip(point, lift)),
-                            tuple(v + y * w for v, w in zip(values, shift)))
-            y += 1
+        y = -(values[s] // shift[s])
+        point = tuple(p + y * u for p, u in zip(point, lift))
+        values = tuple(v + y * w for v, w in zip(values, shift))
+        while values[s] <= caps[s]:
+            if level + 1 < len(lifts):
+                yield from step(level + 1, point, values)
+            elif not others or all(0 <= values[t] <= caps[t] for t in others):
+                yield point, values
+            point = tuple(map(add, point, lift))
+            values = tuple(map(add, values, shift))
 
     return step(0, (0,) * pres.dim, (0,) * len(pres.supports))
 
@@ -712,15 +725,7 @@ def _normal_caps(pres: ToricPresentation) -> dict:
 def _classify(pres: ToricPresentation) -> None:
     lattice = pres.face_lattice
     bottom = lattice.bottom_id
-    answers = {}
-
-    def member(a, values, face_id) -> bool:
-        """The table oracle, asked at most once per point and face."""
-        hit = answers.get((a, face_id))
-        if hit is None:
-            hit = answers[a, face_id] = pres._table_membership(a, face_id, values)
-        return hit
-
+    read = cache(pres._table_holds)
     caps = {
         s.facet_id: pres.facet_semigroup(s.facet_id).conductor + pres.box_margin
         for s in pres.supports
@@ -728,12 +733,12 @@ def _classify(pres: ToricPresentation) -> None:
     pres.verification_box = tuple(caps[s.facet_id] for s in pres.supports)
 
     def holds_box(box, points) -> bool:
-        """Whether the oracle accepts every point of the box on the bottom
-        face, from a table built once at the box's caps rather than grown
-        to them by doubling."""
+        """Whether every point of the box lies in Q, read off a bottom table
+        built once at the box's caps rather than grown to them by doubling;
+        Z^d / 0 is torsion-free, so a point's key is its facet values."""
         pres._table(bottom).rebuild(
             [box[s] for s in pres._zero_facet_ids[bottom]], pres.table_state_limit)
-        return all(member(a, values, bottom) for a, values in points)
+        return all(read(bottom, values) for _, values in points)
 
     # Q is normal iff it holds every parallelepiped point of every simplicial
     # cone spanned by columns (Bruns-Gubeladze, Polytopes, Rings, and
@@ -756,29 +761,28 @@ def _classify(pres: ToricPresentation) -> None:
         return
     points = inner if inner_caps == caps else _Walk(_box_walk(pres, caps))
     masks = pres._zero_facet_masks
-    keyed = []
+    # each scored failing-facet mask computed as the scored check reads it
+    keyed = _Walk((a, values, _failing_facets(pres, "scored", values)) for a, values in points)
 
-    def keying():
-        """(point, values, scored failing-facet mask) of the box, each mask
-        computed as the scored check reads it and kept in keyed."""
-        for a, values in points:
-            keyed.append((a, values, _failing_facets(pres, "scored", values)))
-            yield keyed[-1]
-
-    def masks_agree(face_ids, box) -> bool:
-        """Whether the scored failing-facet masks match the table oracle at
-        every (degree, mask) pair on every given face."""
-        return all(
-            member(a, values, f) == (not masks[f] & fail)
-            for f in face_ids for a, values, fail in box
-        )
+    def masks_agree(face_id, box) -> bool:
+        """Whether the scored failing-facet masks match the face's table at
+        every (degree, values, mask) of the box: one check per distinct
+        (table key, mask bits of the face's facets), in the box's order."""
+        bits = masks[face_id]
+        return all(read(face_id, key) == (not fail) for key, fail in dict.fromkeys(
+            (pres._table_key(face_id, a, values), bits & fail) for a, values, fail in box))
 
     facet_ids = [lattice.facet_face_id(s.facet_id) for s in pres.supports]
-    pres.scored = masks_agree([bottom], keying())
-    pres.serre_s2 = all(
-        member(a, values, bottom) == all(member(a, values, f) for f in facet_ids)
-        for a, values in points
-    )
+    pres.scored = all(read(bottom, values) == (not masks[bottom] & fail)
+                      for _, values, fail in keyed)
+    # Q lies in every localization, so only a point outside Q can refute S2
+    # and only there are the facet tables read; the origin, the walk's first
+    # point, is read at every facet first, which builds each at the box's caps
+    origin = (0,) * pres.dim, (0,) * len(pres.supports)
+    pres.serre_s2 = all(read(f, pres._table_key(f, *origin)) for f in facet_ids) and all(
+        read(bottom, values)
+        or not all(read(f, pres._table_key(f, a, values)) for f in facet_ids)
+        for a, values in points)
     if pres.scored and not pres.serre_s2:
         raise AssertionError("flags violate scored => Serre-S2")
     # a false flag has a witness on the box; a true one is only box-checked
@@ -788,15 +792,16 @@ def _classify(pres: ToricPresentation) -> None:
         "serre_s2": "box" if pres.serre_s2 else "certified",
     }
     # trust the scored masks only where they match the table oracle for
-    # every proper face on the box (keyed in full, as scored holds), whose
-    # facet values are nonnegative, and on the negated box, where a nonzero
-    # facet value tests the facet's sign; and only where every proper face
-    # quotient, which those tables hold, is torsion-free, as it is for a
-    # scored Q: then each face has one residue
+    # every proper face on the box (keyed in full, as scored holds; on the
+    # bottom face that is the scored check), whose facet values are
+    # nonnegative, and on the negated box, where a nonzero facet value tests
+    # the facet's sign; and only where every proper face quotient, which
+    # those tables hold, is torsion-free, as it is for a scored Q: then each
+    # face has one residue
     proper = [f.face_id for f in lattice.faces if f.face_id != lattice.top_id]
+    negated = _Walk((la.vneg(a), values, _failing_facets(pres, "scored", values))
+                    for a, positive, _ in keyed for values in [tuple(-v for v in positive)])
     pres.fast_path = "scored" if (
-        pres.scored and masks_agree(proper, keyed)
-        and masks_agree(proper, [
-            (la.vneg(a), negated, _failing_facets(pres, "scored", negated))
-            for a, values, _ in keyed for negated in [tuple(-v for v in values)]])
+        pres.scored and all(masks_agree(f, keyed) for f in proper if f != bottom)
+        and all(masks_agree(f, negated) for f in proper)
         and all(pres.face_quotient(f).is_torsion_free() for f in proper)) else None

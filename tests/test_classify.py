@@ -1,6 +1,7 @@
 """The flag classification against the materialized reference
 (oracles.classify_materialized), and the lazy box walk it reads."""
 
+from collections import Counter
 from itertools import combinations
 from math import gcd
 from unittest import mock
@@ -23,29 +24,49 @@ PROBLEM_FILES = sorted([*(REPO / "corpus").glob("*.toric"),
 def _classified(classify, rows, **options):
     """What a build classified by classify leaves: flags, evidence,
     verification box, fast path and every table's caps, or the error it
-    raised; and the table-oracle questions (degree, face) in the order
-    asked."""
-    asked = []
+    raised; the number of rebuilds of each table, by the facets that
+    contain its face; the points that box walks drew; and the (point, face)
+    questions the table oracle was asked."""
+    rebuilds, drawn, asked = Counter(), set(), []
+    rebuild = semigroups._BfsTable.rebuild
+    box_walk = semigroups._box_walk
     table_membership = ToricPresentation._table_membership
 
-    def counted(self, a, face_id, values=None):
+    def counted_rebuild(self, caps, state_limit):
+        rebuilds[self.relevant] += 1
+        return rebuild(self, caps, state_limit)
+
+    def recorded_walk(pres, caps):
+        for a, values in box_walk(pres, caps):
+            drawn.add(a)
+            yield a, values
+
+    def recorded_membership(self, a, face_id):
         asked.append((a, face_id))
-        return table_membership(self, a, face_id, values)
+        return table_membership(self, a, face_id)
 
     with mock.patch.object(semigroups, "_classify", classify), \
-            mock.patch.object(ToricPresentation, "_table_membership", counted):
+            mock.patch.object(semigroups._BfsTable, "rebuild", counted_rebuild), \
+            mock.patch.object(semigroups, "_box_walk", recorded_walk), \
+            mock.patch.object(ToricPresentation, "_table_membership", recorded_membership):
         try:
             pres = ToricPresentation.build(rows, **options)
         except Exception as exc:  # the reference must raise the same
-            return (type(exc), str(exc)), asked
+            return (type(exc), str(exc)), rebuilds, drawn, asked
     return (pres.normal, pres.scored, pres.serre_s2, pres.fast_path,
             pres.flag_evidence, pres.verification_box,
-            {f: tbl.caps for f, tbl in pres._tables.items()}), asked
+            {f: tbl.caps for f, tbl in pres._tables.items()}), rebuilds, drawn, asked
 
 
 def _assert_matches_reference(rows, **options):
-    assert _classified(semigroups._classify, rows, **options) == \
-        _classified(classify_materialized, rows, **options), rows
+    # same outcome and table caps, each table rebuilt as often, and no walk
+    # past a point that the reference, which stops at the same witnesses,
+    # asks about
+    outcome, rebuilds, drawn, _ = _classified(semigroups._classify, rows, **options)
+    expected, expected_rebuilds, _, asked = _classified(classify_materialized, rows, **options)
+    assert outcome == expected, rows
+    assert rebuilds == expected_rebuilds, rows
+    assert drawn <= {a for a, _ in asked}, rows
 
 
 @pytest.mark.parametrize("path", PROBLEM_FILES, ids=lambda p: p.name)
@@ -98,6 +119,39 @@ def test_box_walk_matches_materialized_points(path):
         walked = list(semigroups._box_walk(pres, caps))
         assert [a for a, _ in walked] == facet_box_points(pres, caps)
         assert all(values == pres.facet_values(a) for a, values in walked)
+
+
+@pytest.mark.parametrize("name", ["dim2_nonscored", "dim2_scored_nonnormal"])
+def test_classify_reads_each_table_key_once(name):
+    # the table path with torsion and the scored route: each table is read
+    # once per distinct key, fewer times than the reference asks the table
+    # oracle, once per point and face
+    rows = CORPUS[name][0]
+    asked = _classified(classify_materialized, rows)[3]
+    reads = Counter()
+    table_holds = ToricPresentation._table_holds
+
+    def counted(self, face_id, key):
+        reads[face_id, key] += 1
+        return table_holds(self, face_id, key)
+
+    with mock.patch.object(ToricPresentation, "_table_holds", counted):
+        ToricPresentation.build(rows)
+    assert reads and max(reads.values()) == 1
+    assert len(reads) < len(asked) == len(set(asked))
+
+
+def test_box_walks_share_one_hermite_basis(monkeypatch):
+    # the basis facets, Hermite form and lifts of the walk are computed once
+    # per presentation, whatever the caps of the box walked
+    pres = ToricPresentation.build(CORPUS["dim2_scored_nonnormal"][0])
+    lifts = pres._walk_lifts
+    calls = []
+    monkeypatch.setattr(la, "hermite_normal_form", lambda *args: calls.append(args))
+    monkeypatch.setattr(la, "rank", lambda *args: calls.append(args))
+    for caps in (dict(enumerate(pres.verification_box)), semigroups._normal_caps(pres)):
+        assert list(semigroups._box_walk(pres, caps))
+    assert not calls and pres._walk_lifts is lifts
 
 
 def _count_walks(monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -457,6 +458,18 @@ def test_class_scan_and_degree_signature_ask_no_membership(name, monkeypatch):
     for a in product(range(-3, 4), repeat=pres.dim):
         degree_signature(pres, a)
     assert not asked
+
+
+def test_class_of_looks_up_the_signature():
+    # every sample finds its own class; a degree whose signature the
+    # enumeration lacks raises KeyError
+    pres, enum = presentation("dim2_nonscored"), enumeration("dim2_nonscored")
+    for cls in enum.classes:
+        assert all(enum.class_of(pres, a) is cls for a in cls.samples)
+    first, *rest = enum.classes
+    with pytest.raises(KeyError, match="outside the enumerated classes"):
+        replace(enum, classes=tuple(rest)).class_of(pres, first.representative)
+    assert replace(enum, classes=tuple(rest)).class_of(pres, rest[0].representative) is rest[0]
 
 
 def test_signature_partition_strictly_refines_sectors_with_torsion():

@@ -38,7 +38,7 @@ from toriclc import (
 )
 from toriclc import intlinalg as la
 from toriclc import semigroups
-from toriclc.errors import FullLatticeRequired
+from toriclc.errors import FullLatticeRequired, SearchBoundExceeded
 from toriclc.problems import parse_problem_file
 from toriclc.semigroups import face_residue_reps, line_runs
 
@@ -228,6 +228,41 @@ def test_line_runs_match_reference_keys(name, data):
                 for b in line] == keys
 
 
+@pytest.mark.parametrize("name", [*sorted(CORPUS), "pentagon_scored", "table2d_a"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_degree_key_is_its_one_degree_run(name, data):
+    # on a fast path degree_key reads the failing-facet mask off the
+    # degree's facet values, on the table path the tables: on every route
+    # it is the key of the degree's one-degree run
+    pres = _keyed(name)[0]
+    a = data.draw(st.tuples(*[st.integers(-15, 15)] * pres.dim), label="a")
+    assert semigroups.degree_key(pres, a) == line_runs(pres, a[:-1], a[-1], a[-1] + 1)[0][1]
+
+
+def test_table_rebuild_stores_keys_before_caps():
+    # a reader between the two stores of a rebuild, as in another thread,
+    # must not see the new caps with the old keys: that would answer False
+    # for a member above the old caps
+    pres = ToricPresentation.build(CORPUS["dim2_nonscored"][0])
+    bottom = pres.face_lattice.bottom_id
+    tbl = pres._tables[bottom]
+    a = (12, 12)  # 6 * (2, 0) + 6 * (0, 2), with facet values 12 and 12
+    assert tbl.caps == (10, 10)
+    answers = []
+
+    class Observed(semigroups._BfsTable):
+        __slots__ = ()
+
+        def __setattr__(self, name, value):
+            super().__setattr__(name, value)
+            answers.append((name, pres._table_membership(a, bottom)))
+
+    tbl.__class__ = Observed
+    tbl.rebuild((20, 20), pres.table_state_limit)
+    assert answers == [("keys", True), ("caps", True)]
+
+
 def test_pentagon_scored_has_conductors():
     pres, _, _ = _keyed("pentagon_scored")
     assert pres.fast_path == "scored"
@@ -345,36 +380,34 @@ def test_torsion_face_quotient_turns_scored_fast_path_off(monkeypatch):
             f for f in faces if face_membership_search(pres, a, f, search_bound=100))
 
 
-def _count_table_calls(monkeypatch):
-    """Record every (degree, face) the table oracle is asked from now on,
-    and the facet values passed with it (None when none are)."""
-    calls = Counter()
-    passed = {}
-    table_membership = ToricPresentation._table_membership
+def _count_table_reads(monkeypatch):
+    """Record every (face, table key) a table is read at from now on."""
+    reads = Counter()
+    table_holds = ToricPresentation._table_holds
 
-    def counted(self, a, face_id, values=None):
-        calls[(a, face_id)] += 1
-        passed[(a, face_id)] = values
-        return table_membership(self, a, face_id, values)
+    def counted(self, face_id, key):
+        reads[face_id, key] += 1
+        return table_holds(self, face_id, key)
 
-    monkeypatch.setattr(ToricPresentation, "_table_membership", counted)
-    return calls, passed
+    monkeypatch.setattr(ToricPresentation, "_table_holds", counted)
+    return reads
 
 
 def test_classify_asks_table_oracle_once_per_point_and_face(monkeypatch):
     # the scored route checks every proper face on the verification box and
-    # on the negated box; each question carries the facet values the walk
-    # computed for its point, so the oracle recomputes none
-    calls, passed = _count_table_calls(monkeypatch)
+    # on the negated box; each table is read once per key, which is the key
+    # of a point of those boxes or of the normality box, so at most once per
+    # point and face
+    reads = _count_table_reads(monkeypatch)
     pres = ToricPresentation.build(CORPUS["dim2_scored_nonnormal"][0])
     box = _box_points(pres)
     points = set(box) | {tuple(-x for x in a) for a in box} | set(
         facet_box_points(pres, semigroups._normal_caps(pres)))
-    faces = {f.face_id for f in pres.face_lattice.faces}
-    assert calls and max(calls.values()) == 1
-    assert all(a in points and f in faces for a, f in calls)
-    assert {f for _, f in calls} == faces - {pres.face_lattice.top_id}
-    assert all(values == pres.facet_values(a) for (a, _), values in passed.items())
+    proper = {f.face_id for f in pres.face_lattice.faces} - {pres.face_lattice.top_id}
+    assert reads and max(reads.values()) == 1
+    assert set(reads) <= {(f, pres._table_key(f, a, pres.facet_values(a)))
+                          for a in points for f in proper}
+    assert {f for f, _ in reads} == proper
 
 
 def test_normal_caps_hartshorne(pres_hartshorne):
@@ -384,14 +417,14 @@ def test_normal_caps_hartshorne(pres_hartshorne):
 
 
 def test_normal_build_asks_table_oracle_only_on_normal_box(monkeypatch):
-    calls, passed = _count_table_calls(monkeypatch)
+    # one read per point of the normality box, in walk order, on the bottom
+    # face, where a point's key is its facet values
+    reads = _count_table_reads(monkeypatch)
     pres = ToricPresentation.build(CORPUS["dim3_hartshorne"][0])
     points = facet_box_points(pres, semigroups._normal_caps(pres))
     assert pres.fast_path == "normal"
-    assert {f for _, f in calls} == {pres.face_lattice.bottom_id}
-    assert list(a for a, _ in calls) == points
-    assert len(calls) == sum(calls.values()) == 19
-    assert all(values == pres.facet_values(a) for (a, _), values in passed.items())
+    assert list(reads) == [(pres.face_lattice.bottom_id, pres.facet_values(a)) for a in points]
+    assert len(reads) == sum(reads.values()) == 19
 
 
 def _patch_failing_facets(monkeypatch, change):
@@ -694,6 +727,74 @@ def test_membership_routes_agree_on_random_presentations():
                     for state, vals in members.items()}
             assert len(keys) == len(members), (rows, f)
             assert tbl.keys == keys, (rows, f)
+
+
+def _tuple_bfs_keys(torsion, moves, caps, state_limit):
+    """The keys of a table, from a breadth-first closure on key tuples a
+    level at a time, or None when a level leaves more than state_limit."""
+    k, moduli = len(caps), [m for _, m in torsion]
+    steps = [vals + tuple(la.dot(col, c) % m for c, m in torsion) for col, vals in moves]
+    keys = frontier = {(0,) * (k + len(moduli))}
+    while frontier:
+        frontier = {new for key in frontier for step in steps
+                    for new in [tuple(x + y for x, y in zip(key, step))]
+                    if all(v <= c for v, c in zip(new, caps))}
+        frontier = {key[:k] + tuple(t % m for t, m in zip(key[k:], moduli))
+                    for key in frontier} - keys
+        keys = keys | frontier
+        if len(keys) > state_limit:
+            return None
+    return keys
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_table_rebuild_matches_tuple_search(data):
+    # the packed-int search reaches the same keys, and gives up at the same
+    # level, as a search on key tuples: facet values up to past a field's
+    # width, several torsion coordinates, moves that only wrap a residue
+    k = data.draw(st.integers(1, 3), label="facets")
+    d = data.draw(st.integers(1, 3), label="dim")
+    torsion = data.draw(st.lists(st.tuples(
+        st.tuples(*[st.integers(-3, 3)] * d), st.integers(2, 5)), max_size=2), label="torsion")
+    moves = data.draw(st.lists(st.tuples(
+        st.tuples(*[st.integers(-3, 3)] * d),
+        st.tuples(*[st.integers(0, 5)] * k).filter(any)), min_size=1, max_size=5), label="moves")
+    caps = data.draw(st.tuples(*[st.integers(0, 40)] * k), label="caps")
+    state_limit = data.draw(st.sampled_from([5, 60, 10**6]), label="state_limit")
+    tbl = semigroups._BfsTable(tuple(range(k)), torsion, moves)
+    expected = _tuple_bfs_keys(torsion, moves, caps, state_limit)
+    if expected is None:
+        with pytest.raises(SearchBoundExceeded, match="more than"):
+            tbl.rebuild(caps, state_limit)
+        assert tbl.keys is tbl.caps is None
+    else:
+        tbl.rebuild(caps, state_limit)
+        assert (tbl.keys, tbl.caps) == (expected, caps)
+
+
+@pytest.mark.parametrize("rows", [TABLE2D_A, CORPUS["dim2_nonscored"][0]])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_table_reads_grow_tables_as_a_read_that_grows_first(rows, data):
+    # _table_holds grows a table only on a miss; a read that grows the table
+    # to the degree's values first gives the same answers and caps after
+    # every query, on the table path with torsion
+    lazy, eager = ToricPresentation.build(rows), ToricPresentation.build(rows)
+    faces = [f.face_id for f in lazy.face_lattice.faces if f.face_id != lazy.face_lattice.top_id]
+    queries = data.draw(st.lists(st.tuples(
+        st.tuples(st.integers(-30, 30), st.integers(-30, 30)), st.sampled_from(faces)),
+        min_size=1, max_size=12), label="queries")
+    for a, f in queries:
+        vals = tuple(eager.supports[s].value(a) for s in eager._zero_facet_ids[f])
+        if min(vals) < 0:
+            expected = False
+        else:
+            tbl = eager._grown_table(f, vals)
+            expected = vals + tuple(la.dot(a, c) % m for c, m in tbl.torsion) in tbl.keys
+        assert lazy._table_membership(a, f) == expected, (a, f)
+        assert {g: t.caps for g, t in lazy._tables.items()} == {
+            g: t.caps for g, t in eager._tables.items()}, (a, f)
 
 
 def test_build_validates_options():
