@@ -305,10 +305,9 @@ class ToricPresentation:
     def _grown_table(self, face_id: int, vals):
         """The face's table, first rebuilt when a facet value exceeds its cap:
         each cap doubles, or grows to the value or the base cap, never past
-        the ceiling, the largest facet value reachable by a representation
-        whose coefficients stay within the search bound (the coefficient
-        bound of the tests' depth-first oracle); a value above the ceiling
-        raises SearchBoundExceeded."""
+        the ceiling, the largest facet value of a representation whose
+        coefficients stay within the search bound, as in the tests'
+        depth-first oracle; a value above it raises SearchBoundExceeded."""
         tbl = self._table(face_id)
         if tbl.caps is None or any(map(gt, vals, tbl.caps)):
             needed = []
@@ -409,8 +408,10 @@ class _BfsTable:
                 raise SearchBoundExceeded(f"membership table needs more than {state_limit} states")
             frontier = nxt
         field = 2 * top - 1
-        keys = {tuple((state >> shift & field) - offset for shift, offset in zip(shifts, offsets))
-                for state in states}
+        keys = set()
+        while states:  # popped, so each int is freed once its key is made
+            state = states.pop()
+            keys.add(tuple((state >> shift & field) - off for shift, off in zip(shifts, offsets)))
         # keys first: a reader that sees the new caps must see their keys
         self.keys = keys
         self.caps = caps
@@ -448,8 +449,7 @@ def in_face_localization(pres: ToricPresentation, a, face_id: int) -> bool:
     """Exact test for membership in (semigroup + group of the face)."""
     pres._require_pointed()
     a = la.vec(a)
-    lattice = pres.face_lattice
-    if face_id == lattice.top_id:
+    if face_id == pres.face_lattice.top_id:
         return True
     if pres.fast_path is None:
         return pres._table_membership(a, face_id)
@@ -765,9 +765,8 @@ def _classify(pres: ToricPresentation) -> None:
     keyed = _Walk((a, values, _failing_facets(pres, "scored", values)) for a, values in points)
 
     def masks_agree(face_id, box) -> bool:
-        """Whether the scored failing-facet masks match the face's table at
-        every (degree, values, mask) of the box: one check per distinct
-        (table key, mask bits of the face's facets), in the box's order."""
+        """Whether the scored failing-facet masks match the face's table on
+        the box, once per distinct (table key, mask & the face's facets)."""
         bits = masks[face_id]
         return all(read(face_id, key) == (not fail) for key, fail in dict.fromkeys(
             (pres._table_key(face_id, a, values), bits & fail) for a, values, fail in box))

@@ -220,8 +220,9 @@ def classify_materialized(pres) -> None:
     membership test, every failing-facet mask computed up front from the
     degree, and the verification box walked afresh: the reference for
     semigroups._classify, which must set the same flags, evidence,
-    verification box and fast path, ask the table oracle the same
-    questions in the same order and leave every table at the same caps."""
+    verification box and fast path, rebuild every table as often and to
+    the same caps, and walk no point that this reference does not ask the
+    table oracle about."""
     lattice = pres.face_lattice
     bottom = lattice.bottom_id
     oracle = cache(pres._table_membership)
