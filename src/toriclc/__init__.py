@@ -40,6 +40,7 @@ from .cones import Face, FaceLattice, SupportFunction, facet_support_functions
 from .semigroups import (
     NumericalSemigroup,
     ToricPresentation,
+    degree_signature,
     in_face_localization,
     in_semigroup,
     localization_faces,
@@ -53,7 +54,6 @@ from .sectors import (
     EquivClass,
     SectorFilter,
     class_poset,
-    degree_signature,
     enumerate_classes,
     face_residues,
     sector_faces,

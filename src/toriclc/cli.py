@@ -126,7 +126,7 @@ def _enumerate(pres, options):
     enumeration = se.enumerate_classes(
         pres,
         initial_radius=options.get("box"),
-        samples_per_class=options.get("samples", 3),
+        samples_per_class=options.get("samples"),
     )
     poset = se.class_poset(enumeration.classes)
     return enumeration, poset
@@ -135,7 +135,7 @@ def _enumerate(pres, options):
 def _resolve_ideal(args, problem, pres):
     if getattr(args, "maximal", False):
         return co.MonomialIdeal.maximal_ideal(pres)
-    if getattr(args, "ideal", None):
+    if getattr(args, "ideal", None) is not None:
         degrees = parse_degree_list(args.ideal, pres.dim)
     elif problem.ideal == "maximal":
         return co.MonomialIdeal.maximal_ideal(pres)
@@ -261,7 +261,7 @@ def run(argv=None) -> int:
             enumeration, poset = _enumerate(pres, options)
             report = rp.sectors_report(pres, enumeration, poset, echo)
         elif args.command == "lc":
-            radii = _socle_radii(args.socle) if args.socle else None
+            radii = _socle_radii(args.socle) if args.socle is not None else None
             ideal = _resolve_ideal(args, problem, pres)
             enumeration, poset = _enumerate(pres, options)
             module = co.assemble_module(pres, ideal, enumeration, poset)

@@ -15,10 +15,11 @@ regions, so slices are constant on sectors and in particular on the finer
 signature classes.  Slice ranks are therefore memoized once per ideal,
 keyed by the set of joins whose support contains the degree, so the
 memo holds at most 2^#faces entries however many degrees are asked.
-That key comes from one localization_faces call per degree, which reads
-the faces off the signature of the degree's key, an opaque int.
+That set comes from one localization_faces call per degree, which reads
+the faces off the degree's key, its signature, an opaque int.
 A socle probe walks its box once for all the cohomological degrees it is
-given, a run of constant key at a time, and memoizes Cech ranks by key.
+given, a run of constant signature at a time, and memoizes Cech ranks by
+signature.
 Assembly evaluates one representative per class and cross-checks
 additional samples, aborting on any disagreement instead of averaging.
 """
@@ -184,9 +185,9 @@ def cech_slice(pres: ToricPresentation, ideal: MonomialIdeal, a, present=None):
 def cech_ranks(pres: ToricPresentation, ideal: MonomialIdeal, a, key=None) -> tuple:
     """Cohomology ranks, by cohomological degree 0..#generators, of the
     degree-a Cech slice, memoized per set of present faces, which are read
-    off a's key (computed unless given); zero in the semigroup and when the
-    top of L, the end of any chain of m faces (degree m + 1, m minimal
-    faces), is absent, as P_a then has a maximum."""
+    off a's key, its signature (computed unless given); zero in the
+    semigroup and when the top of L, the end of any chain of m faces
+    (degree m + 1, m minimal faces), is absent, as P_a then has a maximum."""
     table = _cech_table(pres, ideal)
     present = localization_faces(pres, a, table.faces, key)
     ranks = table.ranks.get(present)
@@ -339,12 +340,12 @@ def socle_probe(pres: ToricPresentation, ideal: MonomialIdeal,
     A degree is a socle degree when it supports the module but every
     translate by a generator column leaves the support.  One walk of the
     box answers every cohomological degree: it goes a scan line at a time,
-    a run of constant key at a time (semigroups.line_runs), and the Cech
-    ranks are memoized by key, whether reached as box point or translate.
-    The runs of the translates of a supported run, over the run's own
-    degrees, cut it into pieces on which every translate keeps one key, so
-    a piece is all socle degrees or none and is decided once; the ranks of
-    a translate are computed only as needed."""
+    a run of constant signature at a time (semigroups.line_runs), and the
+    Cech ranks are memoized by signature, whether reached as box point or
+    translate.  The runs of the translates of a supported run, over the
+    run's own degrees, cut it into pieces on which every translate keeps
+    one signature, so a piece is all socle degrees or none and is decided
+    once; the ranks of a translate are computed only as needed."""
     degrees = [int(i) for i in cohomological_degrees]
     if any(i < 0 for i in degrees):
         raise ValueError(f"cohomological degrees must be nonnegative, got {degrees}")
@@ -356,31 +357,31 @@ def socle_probe(pres: ToricPresentation, ideal: MonomialIdeal,
     columns = [c for c in pres.columns if not la.is_zero_vector(c)]
     memo = {}
 
-    def ranks(key, a, shift=None) -> tuple:
-        hit = memo.get(key)
+    def ranks(sig, a, shift=None) -> tuple:
+        hit = memo.get(sig)
         if hit is None:
             degree = a if shift is None else la.vadd(a, shift)
-            hit = memo[key] = cech_ranks(pres, ideal, degree, key)
+            hit = memo[sig] = cech_ranks(pres, ideal, degree, sig)
         return hit
 
     found = [[] for _ in degrees]
     lines = scan_lines(pres.dim, radii[-1]) if live else ()
     for prefix, [(lo, hi)] in lines:
         runs = line_runs(pres, prefix, lo, hi)
-        for (start, key), (end, _) in zip(runs, [*runs[1:], (hi, None)]):
-            here = ranks(key, prefix + (start,))
+        for (start, sig), (end, _) in zip(runs, [*runs[1:], (hi, None)]):
+            here = ranks(sig, prefix + (start,))
             supported = [k for k in live if here[degrees[k]]]
             if not supported:
                 continue
-            # (column, run starts, run keys) of each translate of the run
+            # (column, run starts, run signatures) of each translate of the run
             moved = [(c, *zip(*line_runs(pres, prefix, start, end, c))) for c in columns]
             cuts = sorted(set().union(*(starts for _, starts, _ in moved)))
             for x, y in zip(cuts, [*cuts[1:], end]):
                 point = prefix + (x,)
                 for k in supported:
                     i = degrees[k]
-                    if not any(ranks(ks[bisect_right(starts, x) - 1], point, c)[i]
-                               for c, starts, ks in moved):
+                    if not any(ranks(sigs[bisect_right(starts, x) - 1], point, c)[i]
+                               for c, starts, sigs in moved):
                         found[k] += (prefix + (z,) for z in range(x, y))
     probes = []
     for i, points in zip(degrees, found):

@@ -55,11 +55,7 @@ def theta_exponents(pres: ToricPresentation, a) -> tuple:
     the conductor stays inside.  Requires the scored flag."""
     if not pres.scored:
         raise NotScored("facet exponents are defined for scored semigroups")
-    return _exponents_at(_facet_semigroups(pres), pres.facet_values(la.vec(a)))
-
-
-def _facet_semigroups(pres: ToricPresentation) -> list:
-    return [pres.facet_semigroup(s.facet_id) for s in pres.supports]
+    return _exponents_at(pres.facet_semigroups, pres.facet_values(la.vec(a)))
 
 
 def _exponents_at(semigroups, values) -> tuple:
@@ -114,7 +110,7 @@ def verify_exponent_identities(pres: ToricPresentation) -> ExponentIdentityRepor
               "strict_drop_outside": 0, "member_gives_facet_value": 0,
               "vanishing_for_positive": 0}
     checked = 0
-    semigroups = _facet_semigroups(pres)
+    semigroups = pres.facet_semigroups
     for a in degrees:
         minus_a = la.vneg(a)
         vals = pres.facet_values(a)
@@ -172,7 +168,7 @@ def gr_generators_dim1(pres: ToricPresentation) -> tuple:
     if pres.dim != 1:
         raise DimensionUnsupported("generator pairs are a dim-1 construction")
     pres._require_pointed()
-    ns = pres.facet_semigroup(0)
+    ns = pres.facet_semigroups[0]
     pairs = {(1, 1)}
     for w in sorted(set(ns.generators) | ns.gaps):
         up = ns.escape_count(w)
@@ -224,7 +220,7 @@ def notcm_certificate(pres: ToricPresentation) -> NotCMCertificate:
         raise DimensionUnsupported("the certificate is a dim-1 construction")
     if pres.normal:
         raise IsNormal("the graded ring of a normal dim-1 algebra is regular")
-    ns = pres.facet_semigroup(0)
+    ns = pres.facet_semigroups[0]
     pairs = gr_generators_dim1(pres)
     threshold = max(2 * ns.escape_count(-w) for w in ns.gaps)
     memo = {}
@@ -287,7 +283,7 @@ def _exponent_map_checks(pres: ToricPresentation) -> tuple:
     # the negated facet values of each nonzero column
     cols = [tuple(-v for v in pres.facet_values(c))
             for c in pres.columns if not la.is_zero_vector(c)]
-    semigroups = _facet_semigroups(pres)
+    semigroups = pres.facet_semigroups
     additive = True
     injective = True
     seen = {}

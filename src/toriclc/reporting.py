@@ -75,8 +75,7 @@ def _render(value, prefix: str, newline: str, out: list) -> None:
 
 def _presentation_fragment(pres: ToricPresentation) -> dict:
     facets = []
-    for s in pres.supports:
-        ns = pres.facet_semigroup(s.facet_id)
+    for s, ns in zip(pres.supports, pres.facet_semigroups):
         facets.append({
             "id": s.facet_id,
             "coefficients": list(s.coefficients),

@@ -6,7 +6,7 @@ group itself, the torsion of Z^d / ZF, satisfy: a - l lies in the
 semigroup translated by the face group.  Residue i is the class with the
 i-th torsion coordinates of Z^d / ZF in lexicographic order, zero first.
 The per-face family of residue sets is the signature of a, held as one
-int with a bit per face and residue (semigroups.key_signature); degrees
+int with a bit per face and residue (semigroups.degree_signature); degrees
 compare by face-wise inclusion of residue sets, a bit test, and degrees
 with equal signatures form the (finitely many) equivalence classes that
 index the composition factors of every graded module built from monomial
@@ -20,13 +20,10 @@ Class enumeration scans growing centered boxes and stops after two
 consecutive growth steps discover no new signature; the theory guarantees
 finiteness but no effective bound, so the box used is always reported.
 Each growth step scans only the shell outside the previous box, a scan
-line at a time, and each line a run of constant key at a time
-(semigroups.line_runs).  A degree enters only through its key: on the
-normal and scored fast paths the mask of the facets failing the route's
-test, on the table path its signature.  The class scan collects keys and
-turns one per class into its signature.  This module treats a signature
-as an opaque int; only face_residues, the per-query reference, builds
-residue representative vectors.
+line at a time, and each line a run of constant signature at a time
+(semigroups.line_runs): a degree's key is its signature.  This module
+treats a signature as an opaque int; only face_residues, the per-query
+reference, builds residue representative vectors.
 """
 
 from __future__ import annotations
@@ -40,10 +37,9 @@ from . import intlinalg as la
 from .errors import CycleDetected
 from .semigroups import (
     ToricPresentation,
-    degree_key,
+    degree_signature,
     face_residue_reps,
     in_face_localization,
-    key_signature,
     line_runs,
     localization_faces,
     scan_lines,
@@ -58,18 +54,13 @@ def signature_leq(a: int, b: int) -> bool:
 def face_residues(pres: ToricPresentation, a, face_id: int) -> frozenset:
     """Residue indices i with a - r_i in the face-translated semigroup, one
     membership query per representative r_i (face_residue_reps): the
-    per-query reference for the decode of the degree's key."""
+    per-query reference for the decode of the degree's signature."""
     a = la.vec(a)
     reps = face_residue_reps(pres, face_id)
     return frozenset(
         i for i, rep in enumerate(reps)
         if in_face_localization(pres, la.vsub(a, rep), face_id)
     )
-
-
-def degree_signature(pres: ToricPresentation, a) -> int:
-    """The signature of the degree, read off its key."""
-    return key_signature(pres, degree_key(pres, a))
 
 
 def sector_faces(pres: ToricPresentation, a) -> frozenset:
@@ -109,7 +100,7 @@ class ClassEnumeration:
         return {cls.signature: cls for cls in self.classes}
 
     def class_of(self, pres: ToricPresentation, a) -> EquivClass:
-        cls = self._by_signature.get(degree_signature(pres, la.vec(a)))
+        cls = self._by_signature.get(degree_signature(pres, a))
         if cls is None:
             raise KeyError(f"degree {a} has a signature outside the enumerated classes")
         return cls
@@ -125,23 +116,28 @@ STABLE_STEPS = 2  # and stops after this many steps with no new signature
 
 
 def enumerate_classes(pres: ToricPresentation, *, initial_radius=None,
-                      samples_per_class: int = 3) -> ClassEnumeration:
-    """Collect the distinct signatures on growing centered boxes.
+                      samples_per_class=None) -> ClassEnumeration:
+    """Collect the distinct signatures on growing centered boxes, from
+    initial_radius (default_initial_radius) with samples_per_class
+    (default 3) samples per class; either must be at least 1.
 
     Each growth step signs only the shell of points outside the previous
     box, a scan line at a time: earlier steps already covered the inner
     points, so they can add no class and no sample.  A line is walked by
-    its runs of constant key (semigroups.line_runs), and a run gives its
-    first degrees as samples of its key.  Distinct keys have distinct
-    signatures on every route, so the classes are the keys found, and each
-    class's signature is read once, at the end (key_signature).
+    its runs of constant signature (semigroups.line_runs), and a run gives
+    its first degrees as samples of its class.
     Stops once STABLE_STEPS consecutive growths add no new signature.
     Class ids are assigned in order of first discovery under a
     lexicographic scan of each shell, so results are deterministic.
     """
     pres._require_pointed()
-    radius = initial_radius if initial_radius else default_initial_radius(pres)
-    samples = {}  # key -> sample degrees, representative first
+    radius = default_initial_radius(pres) if initial_radius is None else initial_radius
+    if samples_per_class is None:
+        samples_per_class = 3
+    if radius < 1 or samples_per_class < 1:
+        raise ValueError(f"initial radius and samples per class must be at least 1, "
+                         f"got {radius} and {samples_per_class}")
+    samples = {}  # signature -> sample degrees, representative first
     history = []
     inner = -1    # radius of the box already scanned
     stable = 0
@@ -150,10 +146,10 @@ def enumerate_classes(pres: ToricPresentation, *, initial_radius=None,
         for prefix, segments in scan_lines(pres.dim, radius, inner):
             for lo, hi in segments:
                 runs = line_runs(pres, prefix, lo, hi)
-                for (start, key), (end, _) in zip(runs, [*runs[1:], (hi, None)]):
-                    pts = samples.get(key)
+                for (start, sig), (end, _) in zip(runs, [*runs[1:], (hi, None)]):
+                    pts = samples.get(sig)
                     if pts is None:
-                        pts = samples[key] = []
+                        pts = samples[sig] = []
                         new_found += 1
                     if len(pts) < samples_per_class:
                         stop = min(end, start + samples_per_class - len(pts))
@@ -167,12 +163,12 @@ def enumerate_classes(pres: ToricPresentation, *, initial_radius=None,
     classes = tuple(
         EquivClass(
             class_id=i,
-            signature=key_signature(pres, key),
+            signature=sig,
             representative=la.vec(pts[0]),
-            sector=localization_faces(pres, pts[0], faces, key),
+            sector=localization_faces(pres, pts[0], faces, sig),
             samples=la.mat(pts),
         )
-        for i, (key, pts) in enumerate(samples.items())
+        for i, (sig, pts) in enumerate(samples.items())
     )
     return ClassEnumeration(classes, radius, tuple(history))
 

@@ -22,36 +22,21 @@ whose values fit under the cap.  The tests keep a depth-first solver with
 the same contract as an independent oracle; the two must agree wherever
 both can answer.
 
-Flags enable shortcuts: for a normal semigroup, membership in the
-semigroup translated by a face group reduces to sign checks of the support
-functions of the facets containing the face; for a scored one, to value
-checks against the facet numerical semigroups.  The normal shortcut
-follows from normality; the scored one is validated against the table
-oracle on the verification box and its negation, through the
-failing-facet masks that answer the queries, and is disabled on any
-disagreement.
+Flags enable shortcuts, the normal and scored fast paths: membership in
+the semigroup translated by a face group reduces to checking that each
+facet containing the face has its value in the facet numerical semigroup
+S_s (on the normal route every S_s is N, so the check is a sign check).
+The normal shortcut follows from normality; the scored one is validated
+against the table oracle on the verification box and its negation, and is
+disabled on any disagreement.
 
-On a shortcut the failing-facet mask of a degree, the bitmask of the
-facets whose value fails the route's test, is its key: a face's
-localization contains the degree iff none of the face's facets is in the
-mask, so every shortcut answer depends on a degree only through it (the
-sector data of Helm-Miller's sector partition).  Along a scan line a
-facet's bit changes only at its sign threshold and, on the scored route,
-beside the few degrees where its value is a gap.  A face's residues are
-the elements of the torsion of Z^d / ZF, indexed by their torsion
-coordinates in lexicographic order.  A degree's signature is one int in
-the layout _key_bits, with a bit per face and residue, set iff the degree
-minus the residue lies in the face's localization.  A shortcut runs only
-where every face quotient is torsion-free, so each face there has the
-zero residue alone, and key_signature sets its bit from the mask,
-memoized per key.  On the table path the key is the signature, read off
-tables keyed by facet values and torsion coordinates, with no
-representative vectors.  One line kernel (line_runs) cuts a line into
-maximal runs of constant key on every route; the class scan and socle
-probes walk their boxes a run at a time.  Signatures compare by bit
-tests, the faces present are read at the layout offsets, and
-signature_residues is the one decode into residue sets; only this module
-knows the layout.
+A face's residues are the elements of the torsion of Z^d / ZF, indexed by
+their torsion coordinates in lexicographic order.  A degree's key is its
+signature: one int in the layout _key_bits, with a bit per face and
+residue, set iff the degree minus the residue lies in the face's
+localization.  One line kernel (line_runs) cuts a line into maximal runs
+of constant signature on every route; the class scan and socle probes
+walk their boxes a run at a time.  Only this module knows the layout.
 """
 
 from __future__ import annotations
@@ -105,10 +90,8 @@ class NumericalSemigroup:
         return tuple(table)
 
     def __contains__(self, x) -> bool:
-        x = int(x)
-        if x < 0:
-            return False
-        return x >= self.conductor or x not in self.gaps
+        # every gap lies below the conductor
+        return x >= 0 and x not in self.gaps
 
     def escape_count(self, shift: int) -> int:
         """Number of members x with x + shift outside the semigroup; finite
@@ -187,6 +170,10 @@ class ToricPresentation:
                 "columns must generate the full integer lattice"
             )
         self.supports = facet_support_functions(matrix)
+        # S_s = F_s(Q), by facet id; the columns span Z^d and each F_s is
+        # primitive, so their values are coprime
+        self.facet_semigroups = tuple(
+            numerical_semigroup([s.value(c) for c in self.columns]) for s in self.supports)
         self.pointed = is_pointed(self.supports, self.dim)
         self.simplicial = is_simplicial(self.supports, self.dim)
         max_entry = max(abs(e) for row in matrix for e in row)
@@ -203,13 +190,11 @@ class ToricPresentation:
         # SearchBoundExceeded rather than exhausting memory
         self.table_state_limit = 250_000
         self._face_lattice = None
-        self._facet_semigroups = {}
         self._face_groups = {}
         self._face_quotients = {}
         self._tables = {}
         self._residue_reps = {}
         self._cech_tables = {}
-        self._signatures = {}
         self._key_layout = None
         # _box_walk's (basis facet, lift, its values) per level, other facets
         self._walk_lifts = None
@@ -235,6 +220,8 @@ class ToricPresentation:
                 tuple(sorted(face.zero_facets)) for face in self._face_lattice.faces
             )
             _classify(self)
+        # fast path: failing-facet mask -> signature, filled on first use
+        self._signatures = _MaskSignatures(self._zero_facet_masks)
         return self
 
     # -- geometry accessors -------------------------------------------------
@@ -251,16 +238,8 @@ class ToricPresentation:
     def facet_values(self, v) -> tuple:
         return tuple(s.value(v) for s in self.supports)
 
-    def facet_semigroup(self, facet_id: int) -> NumericalSemigroup:
-        ns = self._facet_semigroups.get(facet_id)
-        if ns is None:
-            vals = [self.supports[facet_id].value(c) for c in self.columns]
-            ns = numerical_semigroup(vals)
-            self._facet_semigroups[facet_id] = ns
-        return ns
-
     def max_facet_conductor(self) -> int:
-        return max(self.facet_semigroup(s.facet_id).conductor for s in self.supports)
+        return max(ns.conductor for ns in self.facet_semigroups)
 
     def face_group(self, face_id: int) -> la.Sublattice:
         lat = self._face_groups.get(face_id)
@@ -312,7 +291,7 @@ class ToricPresentation:
         if tbl.caps is None or any(map(gt, vals, tbl.caps)):
             needed = []
             for v, s, old in zip(vals, tbl.relevant, tbl.caps or (0,) * len(vals)):
-                base = self.facet_semigroup(s).conductor + self.box_margin
+                base = self.facet_semigroups[s].conductor + self.box_margin
                 colsum = sum(self.supports[s].value(c) for c in self.columns)
                 ceiling = max(self.search_bound * max(1, colsum), 4 * base, 64)
                 if v > ceiling:
@@ -420,22 +399,27 @@ class _BfsTable:
 # -- public membership oracles ----------------------------------------------
 
 
-def _fails(pres: ToricPresentation, route: str, facet_id: int, value: int) -> bool:
-    """Whether a facet value fails the route's test (see line_runs)."""
-    return value < 0 or route == "scored" and value in pres.facet_semigroup(facet_id).gaps
+def _failing_facets(pres: ToricPresentation, values) -> int:
+    """The failing-facet mask of a degree with the given facet values: bit s
+    is set iff F_s lies outside the facet numerical semigroup S_s."""
+    return sum(1 << s for s, (v, ns) in enumerate(zip(values, pres.facet_semigroups))
+               if v not in ns)
 
 
-def _failing_facets(pres: ToricPresentation, route: str, values) -> int:
-    """The failing-facet mask of a degree with the given facet values."""
-    return sum(1 << s for s, v in enumerate(values) if _fails(pres, route, s, v))
+def _degree(pres: ToricPresentation, a):
+    """The degree as a vector, which must have pres.dim entries."""
+    a = la.vec(a)
+    if len(a) != pres.dim:
+        raise ValueError(f"degree {a} has {len(a)} entries, expected {pres.dim}")
+    return a
 
 
 def localization_faces(pres: ToricPresentation, a, face_ids, key=None) -> frozenset:
     """The faces among face_ids whose localization (semigroup + group of the
     face) contains the degree: those whose zero-residue bit is set in the
-    signature of the degree's key (key_signature), computed unless given."""
+    degree's key, its signature, computed unless given."""
     pres._require_pointed()
-    sig = key_signature(pres, degree_key(pres, a) if key is None else key)
+    sig = degree_signature(pres, a) if key is None else key
     layout = _key_bits(pres)
     return frozenset(f for f in face_ids if sig >> layout[f][1] & 1)
 
@@ -448,13 +432,13 @@ def in_semigroup(pres: ToricPresentation, a) -> bool:
 def in_face_localization(pres: ToricPresentation, a, face_id: int) -> bool:
     """Exact test for membership in (semigroup + group of the face)."""
     pres._require_pointed()
-    a = la.vec(a)
+    a = _degree(pres, a)
     if face_id == pres.face_lattice.top_id:
         return True
     if pres.fast_path is None:
         return pres._table_membership(a, face_id)
-    # the degree's key, its failing-facet mask, misses the face's zero facets
-    return not degree_key(pres, a) & pres._zero_facet_masks[face_id]
+    # no facet containing the face fails
+    return not _failing_facets(pres, pres.facet_values(a)) & pres._zero_facet_masks[face_id]
 
 
 def smallest_containing_face(pres: ToricPresentation, b) -> int:
@@ -469,7 +453,7 @@ def smallest_containing_face(pres: ToricPresentation, b) -> int:
     return pres.face_lattice.face_id_by_zero_facets(zero)
 
 
-# -- per-degree keys ----------------------------------------------------------
+# -- signatures ---------------------------------------------------------------
 
 
 def face_residue_reps(pres: ToricPresentation, face_id: int) -> tuple:
@@ -545,80 +529,78 @@ def _table_keys(pres: ToricPresentation, prefix, last: int, lo: int, hi: int) ->
     return keys
 
 
-def line_runs(pres: ToricPresentation, prefix, lo: int, hi: int, shift=None) -> list:
-    """Maximal runs [(start, key)] of constant key over the degrees
-    prefix + (x,) for lo <= x < hi, translated by shift when given, by
-    increasing start: a run ends where the next starts, the last at hi.
+class _MaskSignatures(dict):
+    """Signatures by failing-facet mask, filled on first use.  On a fast
+    path every face quotient is torsion-free (_classify), so each face has
+    one bit, set iff none of the face's facets is in the mask."""
 
-    On a fast path the key is the failing-facet mask: bit s is set iff F_s
-    fails the route's test, F_s < 0 on route "normal", F_s < 0 or F_s a gap
-    of the facet numerical semigroup on route "scored".  Every fast-path
-    answer applies that test to F_s(a - r), with r zero or a torsion
-    residue representative of a face inside facet s; such an r lies in its
-    face's span, so F_s(a - r) = F_s(a), and two degrees with one mask get
-    the same answer to every fast-path question.  Along the line
-    F_s = base + slope * x, so bit s toggles only at the sign threshold and
-    at x and x + 1 for an x where F_s is a gap; toggles at one x are XORed,
-    and an x where they cancel starts no run.  On the table path the key
-    is the signature: one bit per face F and residue representative r
-    (_key_bits), set iff a - r lies in the semigroup + ZF, every table-path
-    answer; the bits of a line are read off the tables (_table_keys)."""
+    def __init__(self, zero_facet_masks):
+        super().__init__()
+        self.zero_facet_masks = zero_facet_masks
+
+    def __missing__(self, mask):
+        sig = self[mask] = sum(
+            1 << f for f, zero in enumerate(self.zero_facet_masks) if not zero & mask)
+        return sig
+
+
+def line_runs(pres: ToricPresentation, prefix, lo: int, hi: int, shift=None) -> list:
+    """Maximal runs [(start, signature)] of constant signature over the
+    degrees prefix + (x,) for lo <= x < hi, translated by shift when given,
+    by increasing start: a run ends where the next starts, the last at hi.
+
+    On the table path the bits of a line are read off the tables
+    (_table_keys).  On a fast path every answer tests F_s(a - r) against
+    S_s, with r zero or a torsion residue representative of a face inside
+    facet s; such an r lies in its face's span, so F_s(a - r) = F_s(a), and
+    the signature is a function of the failing-facet mask.  Each facet is a
+    face, so the mask is a function of the signature too, and runs of
+    constant mask are the runs of constant signature.  Along the line
+    F_s = base + slope * x, so bit s of the mask toggles only at the sign
+    threshold and at x and x + 1 for an x where F_s is a gap of S_s;
+    toggles at one x are XORed, and an x where they cancel starts no run."""
     last = 0
     if shift is not None:
         # map and the dot products below stop at the end of the prefix
         prefix, last = tuple(map(add, prefix, shift)), shift[-1]
     if pres.fast_path is None:
         runs = []
-        for x, key in enumerate(_table_keys(pres, prefix, last, lo, hi), lo):
-            if not runs or key != runs[-1][1]:
-                runs.append((x, key))
+        for x, sig in enumerate(_table_keys(pres, prefix, last, lo, hi), lo):
+            if not runs or sig != runs[-1][1]:
+                runs.append((x, sig))
         return runs
     mask = 0
     toggles = {}
-    for s in pres.supports:
+    for s, ns in zip(pres.supports, pres.facet_semigroups):
         slope = s.coefficients[-1]
         base = sum(map(mul, s.coefficients, prefix)) + slope * last
         bit = 1 << s.facet_id
-        if _fails(pres, pres.fast_path, s.facet_id, base + slope * lo):
+        value = base + slope * lo
+        if value < 0 or value in ns.gaps:  # value not in ns, without a call
             mask |= bit
         if not slope:
             continue
         cuts = [-(base // slope) if slope > 0 else base // -slope + 1]
-        if pres.fast_path == "scored":
-            for g in pres.facet_semigroup(s.facet_id).gaps:
-                x, r = divmod(g - base, slope)
-                if not r:
-                    cuts += (x, x + 1)
+        for g in ns.gaps:
+            x, r = divmod(g - base, slope)
+            if not r:
+                cuts += (x, x + 1)
         for x in cuts:
             if lo < x < hi:
                 toggles[x] = toggles.get(x, 0) ^ bit
-    runs = [(lo, mask)]
+    signatures = pres._signatures
+    runs = [(lo, signatures[mask])]
     for x in sorted(toggles):
         if toggles[x]:
             mask ^= toggles[x]
-            runs.append((x, mask))
+            runs.append((x, signatures[mask]))
     return runs
 
 
-def degree_key(pres: ToricPresentation, a):
-    """The key of one degree, as line_runs gives it."""
-    a = la.vec(a)
-    return (_failing_facets(pres, pres.fast_path, pres.facet_values(a)) if pres.fast_path
-            else _table_keys(pres, a[:-1], 0, a[-1], a[-1] + 1)[0])
-
-
-def key_signature(pres: ToricPresentation, key) -> int:
-    """The signature of every degree of the key: the key itself on the table
-    path; on a fast path, where every face quotient is torsion-free
-    (_classify), one bit per face, set iff its zero-facet mask misses the
-    key (see line_runs), memoized per key."""
-    if pres.fast_path is None:
-        return key
-    sig = pres._signatures.get(key)
-    if sig is None:
-        sig = pres._signatures[key] = sum(
-            1 << f for f, mask in enumerate(pres._zero_facet_masks) if not mask & key)
-    return sig
+def degree_signature(pres: ToricPresentation, a) -> int:
+    """The signature of one degree: the key of its one-degree run."""
+    a = _degree(pres, a)
+    return line_runs(pres, a[:-1], a[-1], a[-1] + 1)[0][1]
 
 
 def signature_residues(pres: ToricPresentation, sig) -> tuple:
@@ -727,8 +709,8 @@ def _classify(pres: ToricPresentation) -> None:
     bottom = lattice.bottom_id
     read = cache(pres._table_holds)
     caps = {
-        s.facet_id: pres.facet_semigroup(s.facet_id).conductor + pres.box_margin
-        for s in pres.supports
+        s.facet_id: ns.conductor + pres.box_margin
+        for s, ns in zip(pres.supports, pres.facet_semigroups)
     }
     pres.verification_box = tuple(caps[s.facet_id] for s in pres.supports)
 
@@ -761,11 +743,11 @@ def _classify(pres: ToricPresentation) -> None:
         return
     points = inner if inner_caps == caps else _Walk(_box_walk(pres, caps))
     masks = pres._zero_facet_masks
-    # each scored failing-facet mask computed as the scored check reads it
-    keyed = _Walk((a, values, _failing_facets(pres, "scored", values)) for a, values in points)
+    # each failing-facet mask computed as the scored check reads it
+    keyed = _Walk((a, values, _failing_facets(pres, values)) for a, values in points)
 
     def masks_agree(face_id, box) -> bool:
-        """Whether the scored failing-facet masks match the face's table on
+        """Whether the failing-facet masks match the face's table on
         the box, once per distinct (table key, mask & the face's facets)."""
         bits = masks[face_id]
         return all(read(face_id, key) == (not fail) for key, fail in dict.fromkeys(
@@ -798,7 +780,7 @@ def _classify(pres: ToricPresentation) -> None:
     # those tables hold, is torsion-free, as it is for a scored Q: then each
     # face has one residue
     proper = [f.face_id for f in lattice.faces if f.face_id != lattice.top_id]
-    negated = _Walk((la.vneg(a), values, _failing_facets(pres, "scored", values))
+    negated = _Walk((la.vneg(a), values, _failing_facets(pres, values))
                     for a, positive, _ in keyed for values in [tuple(-v for v in positive)])
     pres.fast_path = "scored" if (
         pres.scored and all(masks_agree(f, keyed) for f in proper if f != bottom)

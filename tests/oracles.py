@@ -162,7 +162,7 @@ def escape_count(pres, shift) -> int:
         raise DimensionUnsupported("escape counts are only finite for dim 1")
     pres._require_pointed()
     shift = la.vec(shift) if not isinstance(shift, int) else (shift,)
-    return pres.facet_semigroup(0).escape_count(pres.supports[0].value(shift))
+    return pres.facet_semigroups[0].escape_count(pres.supports[0].value(shift))
 
 
 def saturation_index(lattice: la.Sublattice) -> int:
@@ -227,8 +227,8 @@ def classify_materialized(pres) -> None:
     bottom = lattice.bottom_id
     oracle = cache(pres._table_membership)
     caps = {
-        s.facet_id: pres.facet_semigroup(s.facet_id).conductor + pres.box_margin
-        for s in pres.supports
+        s.facet_id: ns.conductor + pres.box_margin
+        for s, ns in zip(pres.supports, pres.facet_semigroups)
     }
     pres.verification_box = tuple(caps[s.facet_id] for s in pres.supports)
 
@@ -250,7 +250,7 @@ def classify_materialized(pres) -> None:
 
     def with_masks(degrees) -> list:
         return [(a, sum(1 << s for s, v in enumerate(pres.facet_values(a))
-                        if v not in pres.facet_semigroup(s)))
+                        if v not in pres.facet_semigroups[s]))
                 for a in degrees]
 
     def masks_agree(face_ids, keyed) -> bool:

@@ -17,6 +17,7 @@ from toriclc import (
     assemble_module,
     cech_ranks,
     class_poset,
+    degree_signature,
     enumerate_classes,
     in_semigroup,
     ishida_ranks,
@@ -351,10 +352,10 @@ def test_socle_probe_evaluates_support_once_per_degree(monkeypatch):
         asked.clear()
         (probe,) = socle_probe(pres, ideal, [2], [5])
         assert probe.counts == ((5, count),)
-        keys = Counter(semigroups.degree_key(pres, a) for a in asked)
+        keys = Counter(degree_signature(pres, a) for a in asked)
         assert max(keys.values()) == 1
         box = product(range(-5, 6), repeat=pres.dim)
-        assert {semigroups.degree_key(pres, a) for a in box} <= set(keys)
+        assert {degree_signature(pres, a) for a in box} <= set(keys)
         assert len(asked) < (11 ** pres.dim if pres.fast_path is None
                              else 2 ** len(pres.supports))
 
@@ -476,9 +477,8 @@ def test_cech_ranks_hit_queries_faces_and_builds_nothing(monkeypatch):
 
 
 def test_socle_probe_asks_cech_ranks_once_per_key(monkeypatch):
-    # the probe asks cech_ranks at most once per degree key, and the faces
-    # present are read off the per-key signature, whose memo then holds
-    # those keys and the one of the degree that built the per-ideal table
+    # the probe asks cech_ranks at most once per degree key, its signature,
+    # and hands it over, so the faces present are read off it
     pres = ToricPresentation.build(CORPUS["dim3_hartshorne"][0])
     assert pres.fast_path == "normal"
     ideal = MonomialIdeal.from_degrees(pres, CORPUS["dim3_hartshorne"][1])
@@ -493,11 +493,13 @@ def test_socle_probe_asks_cech_ranks_once_per_key(monkeypatch):
         lambda p, i, a, present=None: slices.append(tuple(a)) or cech_slice(p, i, a, present))
     (probe,) = socle_probe(pres, ideal, [2], [5])
     assert probe.counts == ((5, 6),)
-    keys = Counter(semigroups.degree_key(pres, a) for a in asked)
+    keys = Counter(degree_signature(pres, a) for a in asked)
     assert max(keys.values()) == 1
-    # the probe hands over the key its walk holds, so none is recomputed
-    assert passed == [semigroups.degree_key(pres, a) for a in asked]
-    assert set(pres._signatures) == set(keys) | {semigroups.degree_key(pres, (0, 0, 0))}
+    # the probe hands over the key its walk holds, so none is recomputed;
+    # the runs' failing-facet masks were each signed once, into the memo
+    assert passed == [degree_signature(pres, a) for a in asked]
+    assert set(keys) <= set(pres._signatures.values())
+    assert len(set(pres._signatures.values())) == len(pres._signatures)
     # one slice per new memo entry; the entry for (0, 0, 0) was already there
     table = pres._cech_tables[ideal.generator_degrees]
     assert len(slices) == len(table.ranks) - 1

@@ -35,7 +35,7 @@ def brute_escape_count(ns, shift, window=200):
 
 def brute_theta_exponent(pres, a, facet_id, window=200):
     return brute_escape_count(
-        pres.facet_semigroup(facet_id), pres.supports[facet_id].value(a), window)
+        pres.facet_semigroups[facet_id], pres.supports[facet_id].value(a), window)
 
 
 def test_theta_exponent_normal_is_negative_part(pres_2dim):
@@ -63,7 +63,7 @@ def test_theta_exponent_vanishes_on_members():
 
 
 def test_theta_exponent_large_multiple_vanishes(pres_cusp):
-    ns = pres_cusp.facet_semigroup(0)
+    ns = pres_cusp.facet_semigroups[0]
     a = (2,)
     k = ns.conductor + 3
     assert theta_exponents(pres_cusp, (k * a[0],))[0] == 0
@@ -117,7 +117,7 @@ def test_escape_table_matches_enumeration():
     checked = 0
     for name, pres in _facet_semigroup_sources():
         for s in pres.supports:
-            ns = pres.facet_semigroup(s.facet_id)
+            ns = pres.facet_semigroups[s.facet_id]
             c = ns.conductor
             for t in [*range(-c - 3, c + 4), -1000, 1000]:
                 # no member at or past c + |t| leaves the semigroup
@@ -353,7 +353,7 @@ def _exponent_map_checks_by_degree(pres) -> tuple:
     each sum built as a vector and its facet values taken at the end."""
     rng = random.Random(grading._RNG_SEED)
     cols = [c for c in pres.columns if not la.is_zero_vector(c)]
-    semigroups_ = [pres.facet_semigroup(s.facet_id) for s in pres.supports]
+    semigroups_ = pres.facet_semigroups
     additive = injective = True
     seen = {}
     for _ in range(grading._EXPONENT_MAP_SAMPLES):

@@ -245,8 +245,10 @@ def test_cli_sublattice_exit_code(tmp_path, capsys):
     (["analyze", "box_zero_in_file"], 4),
     (["lc", "dim2_normal", "--socle=x"], 4),
     (["lc", "dim2_normal", "--socle=-2"], 4),
+    (["lc", "dim2_normal", "--socle="], 4),
     (["lc", "dim2_normal", "--ideal=5,-1"], 4),
     (["lc", "dim2_normal", "--ideal=0,0"], 4),
+    (["lc", "dim2_normal", "--ideal="], 4),
     (["analyze", "missing_file"], 4),
     (["analyze", "non_utf8"], 4),
     (["lc", "dim2_normal", "--ideal=1,0", "--maximal"], 4),
@@ -259,7 +261,8 @@ def test_cli_sublattice_exit_code(tmp_path, capsys):
     (["grd", "broken_interior_point"], 5),
 ], ids=["box-negative", "box-zero", "samples-zero", "bound-zero",
         "bound-negative", "margin-negative", "box-zero-in-file", "socle-text",
-        "socle-negative", "ideal-outside", "ideal-unit", "missing-file", "non-utf8",
+        "socle-negative", "socle-empty", "ideal-outside", "ideal-unit", "ideal-empty",
+        "missing-file", "non-utf8",
         "ideal-and-maximal",
         "grd-not-pointed", "output-missing-dir", "invariant-assertion",
         "invariant-cycle", "invariant-rank-mismatch", "invariant-interior-point"])

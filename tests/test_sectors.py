@@ -25,13 +25,7 @@ from toriclc import (
 from toriclc import intlinalg as la
 from toriclc import sectors, semigroups
 from toriclc.sectors import face_residue_reps
-from toriclc.semigroups import (
-    degree_key,
-    key_signature,
-    line_runs,
-    scan_lines,
-    signature_residues,
-)
+from toriclc.semigroups import line_runs, scan_lines, signature_residues
 
 # every route: the corpus, the scored pentagon's nonzero conductors and
 # table2d_a's torsion on the table path
@@ -385,30 +379,33 @@ def test_class_samples_distinct_and_led_by_representative(name):
 
 
 @pytest.mark.parametrize("name", ["dim1_weyl", "dim2_nonscored", "dim3_hartshorne"])
-def test_class_scan_computes_each_signature_of_final_box_once(name, monkeypatch):
-    # every route: the scan collects the keys of the final box and turns
-    # each into its signature once, for its class, in class order; on a
-    # fast path the per-key memo holds exactly those keys, on the table
-    # path the key is the signature
+def test_class_scan_computes_each_signature_of_final_box_once(name):
+    # every route: the scan's classes are the distinct signatures of the
+    # final box; on a fast path each failing-facet mask met is turned into
+    # its signature once, and the per-mask memo holds one mask per
+    # signature; the table path has no memo entry
     pres = ToricPresentation.build(CORPUS[name][0])
     decoded = Counter()
-    monkeypatch.setattr(
-        sectors, "key_signature",
-        lambda p, key: decoded.update([key]) or key_signature(p, key))
+
+    class Memo(semigroups._MaskSignatures):
+        def __setitem__(self, mask, sig):
+            decoded.update([mask])
+            super().__setitem__(mask, sig)
+
+    pres._signatures = Memo(pres._zero_facet_masks)
     enum = sectors.enumerate_classes(pres)
     r = enum.radius
     box = list(product(range(-r, r + 1), repeat=pres.dim))
-    keys = {degree_key(pres, a) for a in box}
-    assert max(decoded.values()) == 1
-    assert set(decoded) == keys
-    assert len(decoded) == len(enum.classes) < len(box)
+    sigs = {degree_signature(pres, a) for a in box}
+    assert len({c.signature for c in enum.classes}) == len(enum.classes)
+    assert {c.signature for c in enum.classes} == sigs
+    assert len(enum.classes) < len(box)
     if pres.fast_path is None:
-        assert not pres._signatures
-        assert all(key_signature(pres, key) == key for key in keys)
+        assert not decoded and not pres._signatures
     else:
-        assert set(pres._signatures) == keys
-    assert [c.signature for c in enum.classes] == [
-        key_signature(pres, key) for key in decoded]
+        assert max(decoded.values()) == 1
+        assert set(decoded) == set(pres._signatures)
+        assert sorted(pres._signatures.values()) == sorted(sigs)
     assert enum.classes == enumeration(name).classes
 
 
@@ -424,16 +421,16 @@ def _final_box_keys(pres, radius):
 
 @pytest.mark.parametrize("name", ROUTES)
 def test_final_box_keys_decode_to_distinct_signatures(name):
-    # the class scan counts keys as classes: on every route, distinct keys
-    # of the final box have distinct signatures, each decoding to the
-    # per-query residue sets at a degree of the key
+    # the class scan counts keys, signatures, as classes: on every route
+    # the final box has one key per class, each decoding to the per-query
+    # residue sets at a degree of the key
     pres, _, enum = _keyed(name)
     firsts = _final_box_keys(pres, enum.radius)
     faces = range(len(pres.face_lattice))
-    signatures = {key: key_signature(pres, key) for key in firsts}
-    assert len(set(signatures.values())) == len(firsts) == len(enum.classes)
-    for key, a in firsts.items():
-        assert signature_residues(pres, signatures[key]) == tuple(
+    assert set(firsts) == {c.signature for c in enum.classes}
+    assert len(firsts) == len(enum.classes)
+    for sig, a in firsts.items():
+        assert signature_residues(pres, sig) == tuple(
             face_residues(pres, a, f) for f in faces), a
 
 
@@ -470,6 +467,19 @@ def test_class_of_looks_up_the_signature():
     with pytest.raises(KeyError, match="outside the enumerated classes"):
         replace(enum, classes=tuple(rest)).class_of(pres, first.representative)
     assert replace(enum, classes=tuple(rest)).class_of(pres, rest[0].representative) is rest[0]
+
+
+def test_enumerate_classes_rejects_radius_or_samples_below_one():
+    # a zero or negative initial radius would scan nothing, and no samples
+    # per class would leave a class with no representative; None is the
+    # default of either
+    pres = presentation("dim2_normal")
+    for options in ({"initial_radius": 0}, {"initial_radius": -2},
+                    {"samples_per_class": 0}, {"samples_per_class": -1}):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            sectors.enumerate_classes(pres, **options)
+    assert sectors.enumerate_classes(pres, initial_radius=None, samples_per_class=None) == \
+        enumeration("dim2_normal")
 
 
 def test_signature_partition_strictly_refines_sectors_with_torsion():

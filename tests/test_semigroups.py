@@ -124,8 +124,8 @@ def test_face_localization_top_and_bottom(pres_2dim):
 
 def _box_points(pres):
     caps = {
-        s.facet_id: pres.facet_semigroup(s.facet_id).conductor + pres.box_margin
-        for s in pres.supports
+        s.facet_id: ns.conductor + pres.box_margin
+        for s, ns in zip(pres.supports, pres.facet_semigroups)
     }
     return facet_box_points(pres, caps)
 
@@ -176,21 +176,22 @@ def _keyed(name):
 
 @cache
 def _reference_key(pres, a):
-    """A degree's key, one degree at a time.  On a fast path, from its own
-    facet values: the mask of the facets whose value is negative (route
-    normal) or outside the facet numerical semigroup (route scored).  On
-    the table path, from the depth-first oracle: one bit per face, by face
-    id, and residue representative r, set iff a - r lies in the face's
-    localization; the full cone's one bit is always set."""
+    """A degree's key, its signature, one degree at a time.  On the table
+    path, from the depth-first oracle: one bit per face, by face id, and
+    residue representative r, set iff a - r lies in the face's
+    localization; the full cone's one bit is always set.  On a fast path,
+    where each face has the zero residue alone, from its own facet values:
+    a face's bit is set iff every facet containing it has its value in the
+    facet numerical semigroup."""
     if pres.fast_path is None:
         bits = [
             face_membership_search(pres, la.vsub(a, rep), face.face_id, search_bound=100)
             for face in pres.face_lattice.faces
             for rep in face_residue_reps(pres, face.face_id)]
         return sum(1 << i for i, bit in enumerate(bits) if bit)
-    return sum(
-        1 << s for s, v in enumerate(pres.facet_values(a))
-        if (v < 0 if pres.fast_path == "normal" else v not in pres.facet_semigroup(s)))
+    values = pres.facet_values(a)
+    return sum(1 << face.face_id for face in pres.face_lattice.faces
+               if all(values[s] in pres.facet_semigroups[s] for s in face.zero_facets))
 
 
 def _run_keys(runs, hi):
@@ -205,8 +206,9 @@ def _run_keys(runs, hi):
 def test_line_runs_match_reference_keys(name, data):
     # every route, with the scored pentagon's nonzero conductors and the
     # torsion of table2d_a's ray quotients on the table path: the runs
-    # expand to each degree's own key, start at lo, strictly increase and
-    # change key at every start; the one-degree mask agrees with them
+    # expand to each degree's own signature, start at lo, strictly increase
+    # and change signature at every start; on a fast path the signature of
+    # each degree's own failing-facet mask agrees with them
     pres = _keyed(name)[0]
     prefix = data.draw(st.tuples(*[st.integers(-12, 12)] * (pres.dim - 1)), label="prefix")
     lo = data.draw(st.integers(-15, 15), label="lo")
@@ -222,9 +224,9 @@ def test_line_runs_match_reference_keys(name, data):
         line = [la.vadd(b, shift) for b in line]
     keys = [_reference_key(pres, b) for b in line]
     assert _run_keys(runs, hi) == keys
-    assert [semigroups.degree_key(pres, b) for b in line] == keys
+    assert [degree_signature(pres, b) for b in line] == keys
     if pres.fast_path is not None:
-        assert [semigroups._failing_facets(pres, pres.fast_path, pres.facet_values(b))
+        assert [pres._signatures[semigroups._failing_facets(pres, pres.facet_values(b))]
                 for b in line] == keys
 
 
@@ -232,12 +234,16 @@ def test_line_runs_match_reference_keys(name, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_degree_key_is_its_one_degree_run(name, data):
-    # on a fast path degree_key reads the failing-facet mask off the
-    # degree's facet values, on the table path the tables: on every route
-    # it is the key of the degree's one-degree run
+    # on every route a degree's key is its signature: that of its
+    # one-degree run, the reference signature and, with the zero residue
+    # alone on a fast path, the faces whose localization holds it
     pres = _keyed(name)[0]
     a = data.draw(st.tuples(*[st.integers(-15, 15)] * pres.dim), label="a")
-    assert semigroups.degree_key(pres, a) == line_runs(pres, a[:-1], a[-1], a[-1] + 1)[0][1]
+    sig = degree_signature(pres, a)
+    assert sig == line_runs(pres, a[:-1], a[-1], a[-1] + 1)[0][1] == _reference_key(pres, a)
+    if pres.fast_path is not None:
+        assert sig == sum(1 << f.face_id for f in pres.face_lattice.faces
+                          if in_face_localization(pres, a, f.face_id))
 
 
 def test_table_rebuild_stores_keys_before_caps():
@@ -304,7 +310,7 @@ def test_localization_faces_match_search_and_residues(name, data):
         assert localization_faces(pres, b, faces) == present
         assert [module_support(pres, ideal, k, b) for k in range(len(ranks))] == \
             [r > 0 for r in ranks]
-        assert semigroups.signature_residues(pres, semigroups.key_signature(pres, key)) == residues
+        assert semigroups.signature_residues(pres, key) == residues
 
 
 def test_dfs_agrees_off_box(pres_2dim):
@@ -340,21 +346,63 @@ PROBLEM_FILES = sorted([*(REPO / "corpus").glob("*.toric"),
                         *(REPO / "perfbench" / "problems").glob("**/*.toric")])
 
 
+@cache
+def _problem_presentations() -> tuple:
+    """(file name, presentation) of every corpus and benchmark problem."""
+    out = []
+    for path in PROBLEM_FILES:
+        problem = parse_problem_file(str(path))
+        out.append((path.name, ToricPresentation.build(
+            problem.matrix_rows, search_bound=problem.options.get("bound"),
+            box_margin=problem.options.get("margin", 10))))
+    return tuple(out)
+
+
 def test_fast_path_face_quotients_are_torsion_free():
     # on the normal route ZF = span F ∩ Z^d is saturated; the scored route
     # runs only where the tables found every proper face quotient
     # torsion-free; so a fast-path face has the zero residue alone
     routes = Counter()
-    for path in PROBLEM_FILES:
-        problem = parse_problem_file(str(path))
-        pres = ToricPresentation.build(
-            problem.matrix_rows, search_bound=problem.options.get("bound"),
-            box_margin=problem.options.get("margin", 10))
+    for name, pres in _problem_presentations():
         routes[pres.fast_path] += 1
         if pres.fast_path is not None:
             for face in pres.face_lattice.faces:
-                assert pres.face_quotient(face.face_id).is_torsion_free(), (path.name, face)
+                assert pres.face_quotient(face.face_id).is_torsion_free(), (name, face)
     assert routes == {"normal": 9, "scored": 8, None: 5}
+
+
+def test_one_failing_facet_rule_serves_both_fast_paths():
+    # a normal Q has every facet semigroup S_s = F_s(Q) = N, with conductor
+    # 0 and no gaps, so the one rule "F_s(a) not in S_s" is the normal
+    # route's sign test "F_s(a) < 0"; elsewhere, as on the scored route, it
+    # is "F_s(a) < 0 or F_s(a) a gap of S_s"
+    routes = Counter()
+    for name, pres in _problem_presentations():
+        routes[pres.fast_path] += 1
+        if pres.normal:
+            assert all(ns.conductor == 0 and not ns.gaps for ns in pres.facet_semigroups), name
+        for a in product(range(-3, 4), repeat=pres.dim):
+            values = pres.facet_values(a)
+            route_mask = sum(1 << s for s, v in enumerate(values) if v < 0 or (
+                not pres.normal and v in pres.facet_semigroups[s].gaps))
+            assert semigroups._failing_facets(pres, values) == route_mask, (name, a)
+    assert routes == {"normal": 9, "scored": 8, None: 5}
+
+
+@pytest.mark.parametrize("name", ["dim2_normal", "dim2_nonscored"])
+def test_degrees_of_the_wrong_length_raise(name):
+    # on [[1, 1, 1], [0, 1, 2]] the dot products of (1,) would stop at its
+    # one entry and answer for (1, 0): every per-degree entry point refuses
+    pres = presentation(name)
+    top = pres.face_lattice.top_id
+    for a in [(1,), (1, 1, 1)]:
+        for call in (lambda: in_semigroup(pres, a),
+                     lambda: in_face_localization(pres, a, top),
+                     lambda: degree_signature(pres, a),
+                     lambda: localization_faces(pres, a, [top]),
+                     lambda: MonomialIdeal.from_degrees(pres, [a])):
+            with pytest.raises(ValueError, match=f"has {len(a)} entries, expected 2"):
+                call()
 
 
 def test_torsion_face_quotient_turns_scored_fast_path_off(monkeypatch):
@@ -432,8 +480,8 @@ def _patch_failing_facets(monkeypatch, change):
     from the facet values its walk carries, through change(pres, mask)."""
     original = semigroups._failing_facets
 
-    def patched(pres, route, values):
-        return change(pres, original(pres, route, values))
+    def patched(pres, values):
+        return change(pres, original(pres, values))
 
     monkeypatch.setattr(semigroups, "_failing_facets", patched)
 
@@ -468,7 +516,7 @@ def test_scored_fast_path_off_when_zero_facet_masks_drop_a_facet(monkeypatch):
 
     monkeypatch.setattr(semigroups, "_classify", dropped)
     pres = ToricPresentation.build(CORPUS["dim2_scored_nonnormal"][0])
-    assert not pres.facet_semigroup(0).gaps
+    assert not pres.facet_semigroups[0].gaps
     assert (pres.normal, pres.scored, pres.serre_s2) == (False, True, True)
     assert pres.fast_path is None
 
@@ -607,7 +655,7 @@ def test_facet_semigroup_gap_pattern():
     # facet value semigroups match direct enumeration of achievable values
     pres = ToricPresentation.build([[1, 1, 1], [0, 2, 3]])
     for s in pres.supports:
-        ns = pres.facet_semigroup(s.facet_id)
+        ns = pres.facet_semigroups[s.facet_id]
         vals = [s.value(c) for c in pres.columns]
         achievable = {
             a * vals[0] + b * vals[1] + c * vals[2]
