@@ -34,7 +34,6 @@ from .intlinalg import (
     hermite_normal_form,
     quotient,
     smith_normal_form,
-    torsion_coset_reps,
 )
 from .cones import Face, FaceLattice, SupportFunction, facet_support_functions
 from .semigroups import (
@@ -47,6 +46,7 @@ from .semigroups import (
     numerical_semigroup,
     signature_residues,
     smallest_containing_face,
+    values_in_semigroup,
 )
 from .sectors import (
     ClassEnumeration,
@@ -55,7 +55,6 @@ from .sectors import (
     SectorFilter,
     class_poset,
     enumerate_classes,
-    face_residues,
     sector_faces,
     sector_inventory,
     signature_leq,

@@ -18,17 +18,19 @@ memo holds at most 2^#faces entries however many degrees are asked.
 That set comes from one localization_faces call per degree, which reads
 the faces off the degree's key, its signature, an opaque int.
 A socle probe walks its box once for all the cohomological degrees it is
-given, a run of constant signature at a time, and memoizes Cech ranks by
-signature.
+given, a run of constant signature at a time, memoizes Cech ranks by
+signature and each line's runs by prefix, and reads the runs of a
+column translate off the memoized line it lies on.
 Assembly evaluates one representative per class and cross-checks
 additional samples, aborting on any disagreement instead of averaging.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import product
+from operator import add
 
 from . import intlinalg as la
 from .errors import ClassRankMismatch, GeneratorNotInSemigroup
@@ -345,7 +347,11 @@ def socle_probe(pres: ToricPresentation, ideal: MonomialIdeal,
     translate.  The runs of the translates of a supported run, over the
     run's own degrees, cut it into pieces on which every translate keeps
     one signature, so a piece is all socle degrees or none and is decided
-    once; the ranks of a translate are computed only as needed."""
+    once; the ranks of a translate are computed only as needed.  Each line
+    is walked once, over the box's range widened by the columns' last
+    coordinates, and memoized: the translate of a run by a column lies on
+    the line of the prefix plus the column, and its runs are a bisect slice
+    of that line's runs."""
     degrees = [int(i) for i in cohomological_degrees]
     if any(i < 0 for i in degrees):
         raise ValueError(f"cohomological degrees must be nonnegative, got {degrees}")
@@ -364,24 +370,43 @@ def socle_probe(pres: ToricPresentation, ideal: MonomialIdeal,
             hit = memo[sig] = cech_ranks(pres, ideal, degree, sig)
         return hit
 
+    # each line's runs, as (starts, signatures), over the box's range widened
+    # by the columns' last coordinates, so that a run's translate by a column
+    # lies on a line already walked
+    lo, hi = -radii[-1], radii[-1] + 1
+    wide = (lo + min(0, *(c[-1] for c in columns)), hi + max(0, *(c[-1] for c in columns)))
+    walked = {}
+
+    def line(prefix) -> tuple:
+        hit = walked.get(prefix)
+        if hit is None:
+            hit = walked[prefix] = tuple(zip(*line_runs(pres, prefix, *wide)))
+        return hit
+
     found = [[] for _ in degrees]
     lines = scan_lines(pres.dim, radii[-1]) if live else ()
-    for prefix, [(lo, hi)] in lines:
-        runs = line_runs(pres, prefix, lo, hi)
-        for (start, sig), (end, _) in zip(runs, [*runs[1:], (hi, None)]):
+    for prefix, _ in lines:
+        starts, sigs = line(prefix)
+        first, stop = bisect_right(starts, lo) - 1, bisect_left(starts, hi)
+        bounds = [lo, *starts[first + 1:stop], hi]
+        for start, end, sig in zip(bounds, bounds[1:], sigs[first:stop]):
             here = ranks(sig, prefix + (start,))
             supported = [k for k in live if here[degrees[k]]]
             if not supported:
                 continue
-            # (column, run starts, run signatures) of each translate of the run
-            moved = [(c, *zip(*line_runs(pres, prefix, start, end, c))) for c in columns]
-            cuts = sorted(set().union(*(starts for _, starts, _ in moved)))
+            # (column, its last coordinate, run starts and signatures) of the
+            # translate line of each column; a degree x of the run moves to
+            # x + last there, and the translates' runs cut the run in pieces
+            moved = [(c, c[-1], *line(tuple(map(add, prefix, c)))) for c in columns]
+            cuts = sorted({start} | {
+                t - last for _, last, ts, _ in moved
+                for t in ts[bisect_right(ts, start + last):bisect_left(ts, end + last)]})
             for x, y in zip(cuts, [*cuts[1:], end]):
                 point = prefix + (x,)
                 for k in supported:
                     i = degrees[k]
-                    if not any(ranks(sigs[bisect_right(starts, x) - 1], point, c)[i]
-                               for c, starts, sigs in moved):
+                    if not any(ranks(ss[bisect_right(ts, x + last) - 1], point, c)[i]
+                               for c, last, ts, ss in moved):
                         found[k] += (prefix + (z,) for z in range(x, y))
     probes = []
     for i, points in zip(degrees, found):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from operator import add
+from operator import add, mul
 
 from . import intlinalg as la
 from .errors import (
@@ -38,7 +38,7 @@ from .errors import (
 from .semigroups import (
     ToricPresentation,
     in_face_localization,
-    in_semigroup,
+    values_in_semigroup,
 )
 
 _RNG_SEED = 90125  # fixed so reports stay byte-identical across runs
@@ -60,7 +60,7 @@ def theta_exponents(pres: ToricPresentation, a) -> tuple:
 
 def _exponents_at(semigroups, values) -> tuple:
     """Facet exponents at a degree with the given facet values."""
-    return tuple(ns.escape_count(v) for ns, v in zip(semigroups, values))
+    return tuple([ns.escape_count(v) for ns, v in zip(semigroups, values)])
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def _sample_degrees(pres: ToricPresentation, count: int, rng) -> list:
         abs(e) for row in pres.matrix for e in row
     ) + 2
     return [
-        tuple(rng.randint(-spread, spread) for _ in range(pres.dim))
+        tuple(rng.randrange(-spread, spread + 1) for _ in range(pres.dim))
         for _ in range(count)
     ]
 
@@ -99,60 +99,74 @@ def verify_exponent_identities(pres: ToricPresentation) -> ExponentIdentityRepor
     The identity: exponent at -a equals exponent at a plus the facet value
     of a.  Thresholds standing in for "large k" are conductor-derived:
     k >= conductor + |facet value| + 1.  Facet values are linear, so the
-    exponents at -a and k*a are read at -F(a) and k*F(a).
+    exponents at -a and k*a are read at -F(a) and k*F(a).  A degree drawn
+    again counts again, with the outcome of its first draw.
     """
     if not pres.scored:
         raise NotScored("the exponent identities assume a scored semigroup")
     rng = random.Random(_RNG_SEED)
     degrees = _sample_degrees(pres, _EXPONENT_IDENTITY_PAIRS // len(pres.supports) + 1, rng)
     failures = []
-    counts = {"reflection": 0, "subadditive_for_nonpositive": 0,
-              "strict_drop_outside": 0, "member_gives_facet_value": 0,
-              "vanishing_for_positive": 0}
-    checked = 0
-    semigroups = pres.facet_semigroups
+    counts = dict.fromkeys(("reflection", "subadditive_for_nonpositive",
+                            "strict_drop_outside", "member_gives_facet_value",
+                            "vanishing_for_positive"), 0)
+    outcomes = {}
     for a in degrees:
-        minus_a = la.vneg(a)
-        vals = pres.facet_values(a)
-        exps = _exponents_at(semigroups, vals)
-        exps_neg = _exponents_at(semigroups, [-v for v in vals])
-        for fid, ns in enumerate(semigroups):
-            checked += 1
-            counts["reflection"] += 1
-            if exps_neg[fid] != exps[fid] + vals[fid]:
-                failures.append(
-                    f"reflection failed at {a}, facet {fid}: "
-                    f"{exps_neg[fid]} != {exps[fid]} + {vals[fid]}"
-                )
-            big = ns.conductor + abs(vals[fid]) + 1
-            if vals[fid] <= 0:
-                counts["subadditive_for_nonpositive"] += 1
-                for k in (big, big + 1):
-                    if ns.escape_count(k * vals[fid]) > k * exps[fid]:
-                        failures.append(
-                            f"subadditivity failed at {a}, facet {fid}, k={k}"
-                        )
-            if vals[fid] > 0:
-                counts["vanishing_for_positive"] += 1
-                if ns.escape_count(big * vals[fid]) != 0:
-                    failures.append(
-                        f"vanishing failed at {a}, facet {fid}, k={big}"
-                    )
-        if all(v <= 0 for v in vals) and not in_semigroup(pres, minus_a):
-            counts["strict_drop_outside"] += 1
-            big = pres.max_facet_conductor() + max(abs(v) for v in vals) + 1
-            if not any(
-                ns.escape_count(big * v) < big * e
-                for ns, v, e in zip(semigroups, vals, exps)
-            ):
-                failures.append(f"no strict exponent drop at {a}, k={big}")
-        if in_semigroup(pres, a):
-            counts["member_gives_facet_value"] += 1
-            if exps_neg != vals:
-                failures.append(
-                    f"member degree {a}: exponents at -a {exps_neg} != values {vals}"
-                )
+        if a not in outcomes:
+            outcomes[a] = _identity_checks(pres, a)
+        clauses, failed = outcomes[a]
+        for clause in clauses:
+            counts[clause] += 1
+        failures += failed
+    checked = len(degrees) * len(pres.supports)
     return ExponentIdentityReport(checked, tuple(sorted(counts.items())), tuple(failures))
+
+
+def _identity_checks(pres: ToricPresentation, a) -> tuple:
+    """(the clauses checked, the failures) of the exponent identities at
+    one degree, read off its facet values."""
+    clauses, failures = [], []
+    semigroups = pres.facet_semigroups
+    vals = pres.facet_values(a)
+    neg = tuple(-v for v in vals)  # the facet values of -a
+    exps = _exponents_at(semigroups, vals)
+    exps_neg = _exponents_at(semigroups, neg)
+    for fid, ns in enumerate(semigroups):
+        clauses.append("reflection")
+        if exps_neg[fid] != exps[fid] + vals[fid]:
+            failures.append(
+                f"reflection failed at {a}, facet {fid}: "
+                f"{exps_neg[fid]} != {exps[fid]} + {vals[fid]}"
+            )
+        big = ns.conductor + abs(vals[fid]) + 1
+        if vals[fid] <= 0:
+            clauses.append("subadditive_for_nonpositive")
+            for k in (big, big + 1):
+                if ns.escape_count(k * vals[fid]) > k * exps[fid]:
+                    failures.append(
+                        f"subadditivity failed at {a}, facet {fid}, k={k}"
+                    )
+        if vals[fid] > 0:
+            clauses.append("vanishing_for_positive")
+            if ns.escape_count(big * vals[fid]) != 0:
+                failures.append(
+                    f"vanishing failed at {a}, facet {fid}, k={big}"
+                )
+    if max(vals) <= 0 and not values_in_semigroup(pres, neg):
+        clauses.append("strict_drop_outside")
+        big = pres.max_facet_conductor() + max(map(abs, vals)) + 1
+        if not any(
+            ns.escape_count(big * v) < big * e
+            for ns, v, e in zip(semigroups, vals, exps)
+        ):
+            failures.append(f"no strict exponent drop at {a}, k={big}")
+    if values_in_semigroup(pres, vals):
+        clauses.append("member_gives_facet_value")
+        if exps_neg != vals:
+            failures.append(
+                f"member degree {a}: exponents at -a {exps_neg} != values {vals}"
+            )
+    return clauses, failures
 
 
 # -- one-dimensional graded ring ----------------------------------------------
@@ -280,19 +294,18 @@ def _exponent_map_checks(pres: ToricPresentation) -> tuple:
     carried as its facet values, the same combination of the columns'
     values, and two sums are equal iff their values are."""
     rng = random.Random(_RNG_SEED)
-    # the negated facet values of each nonzero column
-    cols = [tuple(-v for v in pres.facet_values(c))
-            for c in pres.columns if not la.is_zero_vector(c)]
+    # per facet, the negated values of the nonzero columns
+    rows = la.transpose([tuple(-v for v in pres.facet_values(c))
+                         for c in pres.columns if not la.is_zero_vector(c)])
     semigroups = pres.facet_semigroups
     additive = True
     injective = True
     seen = {}
     for _ in range(_EXPONENT_MAP_SAMPLES):
-        x = y = (0,) * len(semigroups)
-        for c in cols:
-            i, j = rng.randint(0, 2), rng.randint(0, 2)
-            x = tuple(v + i * w for v, w in zip(x, c))
-            y = tuple(v + j * w for v, w in zip(y, c))
+        # two multipliers in [0, 2] per column, in the order of the columns
+        draws = [rng.randrange(3) for _ in range(2 * len(rows[0]))]
+        x = tuple(sum(map(mul, row, draws[0::2])) for row in rows)
+        y = tuple(sum(map(mul, row, draws[1::2])) for row in rows)
         ex, ey, exy = (_exponents_at(semigroups, z)
                        for z in (x, y, tuple(map(add, x, y))))
         if exy != tuple(map(add, ex, ey)):
@@ -424,21 +437,18 @@ def char_variety_max(pres: ToricPresentation) -> FiberCertificate:
     # non-vanishing on negated semigroup degrees: translating by -alpha must
     # leave every facet-translated region
     rng = random.Random(_RNG_SEED)
+    facets = [pres.face_lattice.facet_face_id(s.facet_id) for s in pres.supports]
     nonvanishing = True
     for _ in range(25):
-        x = la.zero_vector(pres.dim)
-        for c in pres.columns:
-            x = la.vadd(x, la.vscale(rng.randint(0, 2), c))
-        a = la.vneg(x)
-        if la.is_zero_vector(a):
+        draws = [rng.randrange(3) for _ in pres.columns]
+        # the sum of the columns times the draws, a row of the matrix at a time
+        x = tuple(sum(map(mul, row, draws)) for row in pres.matrix)
+        if la.is_zero_vector(x):
             continue
-        shifted = la.vsub(a, alpha)
-        if any(
-            in_face_localization(
-                pres, shifted, pres.face_lattice.facet_face_id(s.facet_id)
-            )
-            for s in pres.supports
-        ):
+        shifted = la.vsub(la.vneg(x), alpha)
+        # its facet values, computed once for every facet's region
+        values = pres.facet_values(shifted)
+        if any(in_face_localization(pres, shifted, f, values) for f in facets):
             nonvanishing = False
     checks.append(("shifted_degrees_escape_every_facet_region", nonvanishing))
     # outward degrees eventually reenter a facet region after the shift

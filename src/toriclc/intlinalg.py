@@ -1,6 +1,5 @@
-"""Exact integer linear algebra: normal forms, sublattices, quotient groups,
-and coset representatives of a quotient's torsion, lifted from its Smith
-form.
+"""Exact integer linear algebra: normal forms, ranks, determinants,
+sublattices and quotient groups with coordinates read off a Smith form.
 
 Everything works over Python's arbitrary-precision integers; no floating
 point enters any code path.  Vectors are tuples of ints and matrices are
@@ -18,7 +17,6 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from operator import mul
 
 Vector = tuple
@@ -277,14 +275,6 @@ def det(m: Matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def unimodular_inverse(m: Matrix) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
-    h, u = hermite_normal_form(m)
-    if h != identity(len(m)):
-        raise ValueError("matrix is not unimodular")
-    return u
-
-
 @dataclass(frozen=True)
 class Sublattice:
     """A sublattice of Z^d stored by a canonical (Hermite-form) basis."""
@@ -349,17 +339,3 @@ def quotient(ambient_rank: int, lattice: Sublattice) -> QuotientGroup:
     return QuotientGroup(
         ambient_rank, lattice, ambient_rank - r, torsion, transpose(v), moduli)
 
-
-def torsion_coset_reps(q: QuotientGroup) -> tuple:
-    """One representative per element of the torsion of Z^d / L, which is
-    (saturation of L) / L, by torsion coordinates in lexicographic order.
-
-    The representative with coordinates k is the sum of k_j w_j, where w_j
-    is the row of the inverse coordinate matrix at coordinate j and k is
-    zero off the torsion coordinates: it projects to k, so it lies in the
-    rational span of L.  The zero vector is first.
-    """
-    inverse = unimodular_inverse(transpose(q._coord_columns))
-    return tuple(
-        tuple(sum(map(mul, ks, column)) for column in zip(*inverse))
-        for ks in product(*(range(max(m, 1)) for m in q._moduli)))

@@ -22,8 +22,8 @@ finiteness but no effective bound, so the box used is always reported.
 Each growth step scans only the shell outside the previous box, a scan
 line at a time, and each line a run of constant signature at a time
 (semigroups.line_runs): a degree's key is its signature.  This module
-treats a signature as an opaque int; only face_residues, the per-query
-reference, builds residue representative vectors.
+treats a signature as an opaque int and builds no residue representative
+vector.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ from functools import cached_property
 
 from . import intlinalg as la
 from .errors import CycleDetected
-from .semigroups import (
+# in_face_localization is not called here; it stays bound because
+# perfbench's tracer patches the membership oracle in this module too
+from .semigroups import (  # noqa: F401
     ToricPresentation,
     degree_signature,
-    face_residue_reps,
     in_face_localization,
     line_runs,
     localization_faces,
@@ -49,18 +50,6 @@ from .semigroups import (
 def signature_leq(a: int, b: int) -> bool:
     """Face-wise inclusion of residue sets: every bit of a is set in b."""
     return not a & ~b
-
-
-def face_residues(pres: ToricPresentation, a, face_id: int) -> frozenset:
-    """Residue indices i with a - r_i in the face-translated semigroup, one
-    membership query per representative r_i (face_residue_reps): the
-    per-query reference for the decode of the degree's signature."""
-    a = la.vec(a)
-    reps = face_residue_reps(pres, face_id)
-    return frozenset(
-        i for i, rep in enumerate(reps)
-        if in_face_localization(pres, la.vsub(a, rep), face_id)
-    )
 
 
 def sector_faces(pres: ToricPresentation, a) -> frozenset:

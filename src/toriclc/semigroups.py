@@ -28,7 +28,12 @@ facet containing the face has its value in the facet numerical semigroup
 S_s (on the normal route every S_s is N, so the check is a sign check).
 The normal shortcut follows from normality; the scored one is validated
 against the table oracle on the verification box and its negation, and is
-disabled on any disagreement.
+disabled on any disagreement.  Membership in the semigroup itself is one
+function of a degree's facet values (values_in_semigroup) on every route:
+the failing-facet test on a fast path, a bottom-table read keyed by the
+values on the table path; in_semigroup and the grading checks call it.
+Facet values are dot products with coefficient rows stored once per
+presentation.
 
 A face's residues are the elements of the torsion of Z^d / ZF, indexed by
 their torsion coordinates in lexicographic order.  A degree's key is its
@@ -170,10 +175,17 @@ class ToricPresentation:
                 "columns must generate the full integer lattice"
             )
         self.supports = facet_support_functions(matrix)
+        # the coefficient rows F_s by facet id, read by facet_values
+        self._facet_rows = tuple(s.coefficients for s in self.supports)
         # S_s = F_s(Q), by facet id; the columns span Z^d and each F_s is
         # primitive, so their values are coprime
         self.facet_semigroups = tuple(
             numerical_semigroup([s.value(c) for c in self.columns]) for s in self.supports)
+        # the line kernel's data per facet: (bit, coefficients of the prefix,
+        # slope along the last coordinate, gap set of S_s)
+        self._line_facets = tuple(
+            (1 << s.facet_id, s.coefficients[:-1], s.coefficients[-1], ns.gaps)
+            for s, ns in zip(self.supports, self.facet_semigroups))
         self.pointed = is_pointed(self.supports, self.dim)
         self.simplicial = is_simplicial(self.supports, self.dim)
         max_entry = max(abs(e) for row in matrix for e in row)
@@ -193,7 +205,6 @@ class ToricPresentation:
         self._face_groups = {}
         self._face_quotients = {}
         self._tables = {}
-        self._residue_reps = {}
         self._cech_tables = {}
         self._key_layout = None
         # _box_walk's (basis facet, lift, its values) per level, other facets
@@ -236,7 +247,7 @@ class ToricPresentation:
         return self._face_lattice
 
     def facet_values(self, v) -> tuple:
-        return tuple(s.value(v) for s in self.supports)
+        return tuple(sum(map(mul, row, v)) for row in self._facet_rows)
 
     def max_facet_conductor(self) -> int:
         return max(ns.conductor for ns in self.facet_semigroups)
@@ -302,9 +313,12 @@ class ToricPresentation:
             tbl.rebuild(needed, self.table_state_limit)
         return tbl
 
-    def _table_membership(self, a, face_id: int) -> bool:
-        """Whether a lies in the face's localization, read off its table."""
-        return self._table_holds(face_id, self._table_key(face_id, a, self.facet_values(a)))
+    def _table_membership(self, a, face_id: int, values=None) -> bool:
+        """Whether a, with the given facet values (computed unless given),
+        lies in the face's localization, read off its table."""
+        if values is None:
+            values = self.facet_values(a)
+        return self._table_holds(face_id, self._table_key(face_id, a, values))
 
     def _table_key(self, face_id: int, a, values):
         """The key of a in the face's table, from its facet values by facet
@@ -402,8 +416,8 @@ class _BfsTable:
 def _failing_facets(pres: ToricPresentation, values) -> int:
     """The failing-facet mask of a degree with the given facet values: bit s
     is set iff F_s lies outside the facet numerical semigroup S_s."""
-    return sum(1 << s for s, (v, ns) in enumerate(zip(values, pres.facet_semigroups))
-               if v not in ns)
+    return sum(bit for v, (bit, _, _, gaps) in zip(values, pres._line_facets)
+               if v < 0 or v in gaps)
 
 
 def _degree(pres: ToricPresentation, a):
@@ -424,21 +438,39 @@ def localization_faces(pres: ToricPresentation, a, face_ids, key=None) -> frozen
     return frozenset(f for f in face_ids if sig >> layout[f][1] & 1)
 
 
+def values_in_semigroup(pres: ToricPresentation, values) -> bool:
+    """Exact test for membership in the semigroup of a degree with the given
+    facet values, by facet id: on a fast path no facet fails; on the table
+    path the values are the degree's key in the bottom table, Z^d / 0 being
+    torsion-free, and a negative value puts the degree outside."""
+    if pres.fast_path is None:
+        values = tuple(values)
+        return pres._table_holds(pres.face_lattice.bottom_id, values if min(values) >= 0 else None)
+    return not _failing_facets(pres, values)
+
+
 def in_semigroup(pres: ToricPresentation, a) -> bool:
     """Exact test for membership of a degree in the semigroup."""
-    return in_face_localization(pres, a, pres.face_lattice.bottom_id)
+    pres._require_pointed()
+    return values_in_semigroup(pres, pres.facet_values(_degree(pres, a)))
 
 
-def in_face_localization(pres: ToricPresentation, a, face_id: int) -> bool:
-    """Exact test for membership in (semigroup + group of the face)."""
+def in_face_localization(pres: ToricPresentation, a, face_id: int, values=None) -> bool:
+    """Exact test for membership in (semigroup + group of the face); values,
+    when given, are the degree's facet values, read instead of computed."""
     pres._require_pointed()
     a = _degree(pres, a)
-    if face_id == pres.face_lattice.top_id:
+    lattice = pres.face_lattice
+    if face_id == lattice.top_id:
         return True
+    if values is None:
+        values = pres.facet_values(a)
+    if face_id == lattice.bottom_id:
+        return values_in_semigroup(pres, values)
     if pres.fast_path is None:
-        return pres._table_membership(a, face_id)
+        return pres._table_membership(a, face_id, values)
     # no facet containing the face fails
-    return not _failing_facets(pres, pres.facet_values(a)) & pres._zero_facet_masks[face_id]
+    return not _failing_facets(pres, values) & pres._zero_facet_masks[face_id]
 
 
 def smallest_containing_face(pres: ToricPresentation, b) -> int:
@@ -454,18 +486,6 @@ def smallest_containing_face(pres: ToricPresentation, b) -> int:
 
 
 # -- signatures ---------------------------------------------------------------
-
-
-def face_residue_reps(pres: ToricPresentation, face_id: int) -> tuple:
-    """Representatives of the residues of one face, the torsion of Z^d / ZF,
-    by torsion coordinates in lexicographic order, the order of the key
-    layout (_key_bits); the zero vector is first.  Only the per-query
-    reference route (sectors.face_residues) needs the vectors."""
-    reps = pres._residue_reps.get(face_id)
-    if reps is None:
-        reps = la.torsion_coset_reps(pres.face_quotient(face_id))
-        pres._residue_reps[face_id] = reps
-    return reps
 
 
 def _key_bits(pres: ToricPresentation) -> tuple:
@@ -486,8 +506,8 @@ def _key_bits(pres: ToricPresentation) -> tuple:
     return pres._key_layout
 
 
-def _table_keys(pres: ToricPresentation, prefix, last: int, lo: int, hi: int) -> list:
-    """The table-path keys of the degrees prefix + (x + last,), lo <= x < hi.
+def _table_keys(pres: ToricPresentation, prefix, lo: int, hi: int) -> list:
+    """The table-path keys of the degrees prefix + (x,), lo <= x < hi.
 
     A face's bits can be set only where the values F_s = base + slope * x
     of all its facets are nonnegative, an interval of x.  The face's table
@@ -503,9 +523,8 @@ def _table_keys(pres: ToricPresentation, prefix, last: int, lo: int, hi: int) ->
             continue
         start, stop, lines = lo, hi, []
         for s in pres._zero_facet_ids[face_id]:
-            coefficients = pres.supports[s].coefficients
-            slope = coefficients[-1]
-            base = sum(map(mul, coefficients, prefix)) + slope * last
+            _, head, slope, _ = pres._line_facets[s]
+            base = sum(map(mul, head, prefix))
             if slope > 0:
                 start = max(start, -(base // slope))
             elif slope < 0:
@@ -519,7 +538,8 @@ def _table_keys(pres: ToricPresentation, prefix, last: int, lo: int, hi: int) ->
             max(base + slope * start, base + slope * (stop - 1)) for base, slope in lines])
         xs = range(start, stop)
         vals = [[base + slope * x for x in xs] for base, slope in lines]
-        coords = [(sum(map(mul, c, prefix)) + c[-1] * last, c[-1], m) for c, m in tbl.torsion]
+        # map stops at the end of the prefix
+        coords = [(sum(map(mul, c, prefix)), c[-1], m) for c, m in tbl.torsion]
         for bit, k in enumerate(residues, offset):
             shifted = [[(t0 - kj + dt * x) % m for x in xs]
                        for (t0, dt, m), kj in zip(coords, k)]
@@ -544,10 +564,10 @@ class _MaskSignatures(dict):
         return sig
 
 
-def line_runs(pres: ToricPresentation, prefix, lo: int, hi: int, shift=None) -> list:
+def line_runs(pres: ToricPresentation, prefix, lo: int, hi: int) -> list:
     """Maximal runs [(start, signature)] of constant signature over the
-    degrees prefix + (x,) for lo <= x < hi, translated by shift when given,
-    by increasing start: a run ends where the next starts, the last at hi.
+    degrees prefix + (x,) for lo <= x < hi, by increasing start: a run ends
+    where the next starts, the last at hi.
 
     On the table path the bits of a line are read off the tables
     (_table_keys).  On a fast path every answer tests F_s(a - r) against
@@ -558,36 +578,34 @@ def line_runs(pres: ToricPresentation, prefix, lo: int, hi: int, shift=None) -> 
     constant mask are the runs of constant signature.  Along the line
     F_s = base + slope * x, so bit s of the mask toggles only at the sign
     threshold and at x and x + 1 for an x where F_s is a gap of S_s;
-    toggles at one x are XORed, and an x where they cancel starts no run."""
-    last = 0
-    if shift is not None:
-        # map and the dot products below stop at the end of the prefix
-        prefix, last = tuple(map(add, prefix, shift)), shift[-1]
+    toggles at one x are XORed, and an x where they cancel starts no run.
+    Each facet is read from the presentation's kernel tuple (bit, prefix
+    coefficients, slope, gaps), and only a facet with gaps walks them."""
     if pres.fast_path is None:
         runs = []
-        for x, sig in enumerate(_table_keys(pres, prefix, last, lo, hi), lo):
+        for x, sig in enumerate(_table_keys(pres, prefix, lo, hi), lo):
             if not runs or sig != runs[-1][1]:
                 runs.append((x, sig))
         return runs
     mask = 0
     toggles = {}
-    for s, ns in zip(pres.supports, pres.facet_semigroups):
-        slope = s.coefficients[-1]
-        base = sum(map(mul, s.coefficients, prefix)) + slope * last
-        bit = 1 << s.facet_id
+    for bit, head, slope, gaps in pres._line_facets:
+        base = sum(map(mul, head, prefix))
         value = base + slope * lo
-        if value < 0 or value in ns.gaps:  # value not in ns, without a call
+        if value < 0 or value in gaps:  # value not in S_s
             mask |= bit
         if not slope:
             continue
-        cuts = [-(base // slope) if slope > 0 else base // -slope + 1]
-        for g in ns.gaps:
+        x = -(base // slope) if slope > 0 else base // -slope + 1
+        if lo < x < hi:
+            toggles[x] = toggles.get(x, 0) ^ bit
+        for g in gaps:
             x, r = divmod(g - base, slope)
             if not r:
-                cuts += (x, x + 1)
-        for x in cuts:
-            if lo < x < hi:
-                toggles[x] = toggles.get(x, 0) ^ bit
+                if lo < x < hi:
+                    toggles[x] = toggles.get(x, 0) ^ bit
+                if lo <= x < hi - 1:
+                    toggles[x + 1] = toggles.get(x + 1, 0) ^ bit
     signatures = pres._signatures
     runs = [(lo, signatures[mask])]
     for x in sorted(toggles):

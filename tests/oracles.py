@@ -1,12 +1,14 @@
 """Reference oracles used only by the tests: a depth-first membership
 search independent of the tables, lattice membership by Hermite
-elimination, monomial localizations, escape sets and counts by their
+elimination, residue representative vectors and per-residue membership
+queries, monomial localizations, escape sets and counts by their
 definitions, the index of a lattice in its saturation, and the flag
 classification that materializes each box before walking it."""
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
+from operator import mul
 
 from toriclc import (
     DimensionUnsupported,
@@ -44,6 +46,47 @@ def lattice_solve(basis, target):
     if any(rem):
         return None
     return vec_mat(tuple(y), u)
+
+
+def unimodular_inverse(m):
+    """Exact inverse of a unimodular integer matrix."""
+    h, u = la.hermite_normal_form(m)
+    if h != la.identity(len(m)):
+        raise ValueError("matrix is not unimodular")
+    return u
+
+
+def torsion_coset_reps(q: la.QuotientGroup) -> tuple:
+    """One representative per element of the torsion of Z^d / L, which is
+    (saturation of L) / L, by torsion coordinates in lexicographic order.
+
+    The representative with coordinates k is the sum of k_j w_j, where w_j
+    is the row of the inverse coordinate matrix at coordinate j and k is
+    zero off the torsion coordinates: it projects to k, so it lies in the
+    rational span of L.  The zero vector is first.
+    """
+    inverse = unimodular_inverse(la.transpose(q._coord_columns))
+    return tuple(
+        tuple(sum(map(mul, ks, column)) for column in zip(*inverse))
+        for ks in product(*(range(max(m, 1)) for m in q._moduli)))
+
+
+def face_residue_reps(pres, face_id: int) -> tuple:
+    """Representatives of the residues of one face, the torsion of Z^d / ZF,
+    in the order of the signature layout (torsion coordinates in
+    lexicographic order); the zero vector is first."""
+    return torsion_coset_reps(pres.face_quotient(face_id))
+
+
+def face_residues(pres, a, face_id: int) -> frozenset:
+    """Residue indices i with a - r_i in the face-translated semigroup, one
+    membership query per representative r_i (face_residue_reps): the
+    per-query reference for the decode of the degree's signature."""
+    a = la.vec(a)
+    return frozenset(
+        i for i, rep in enumerate(face_residue_reps(pres, face_id))
+        if in_face_localization(pres, la.vsub(a, rep), face_id)
+    )
 
 
 def lattice_contains(lattice: la.Sublattice, v) -> bool:

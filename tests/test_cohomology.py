@@ -1,5 +1,6 @@
 """Complex slices, ranks, module assembly, socle probes."""
 
+import random
 from collections import Counter
 from itertools import combinations, product
 
@@ -317,17 +318,48 @@ def test_socle_probe_walks_once_for_every_degree(name, ideal_kind):
     ("dim2_scored_nonnormal", "maximal"),
     ("dim2_nonscored", "maximal"),
     ("pentagon_scored", "bench"),
+    ("dim3_hartshorne", "file-reflected"),
+    ("dim2_scored_nonnormal", "maximal-reflected"),
+    ("dim2_nonscored", "maximal-reflected"),
 ])
 def test_socle_probe_matches_per_degree_reference(name, ideal_kind):
     # the probe decides whole pieces of runs at once; the reference asks
     # every degree of the box and every column translate of it, on the
-    # normal, scored (nonzero conductors on the pentagon) and table routes
+    # normal, scored (nonzero conductors on the pentagon) and table routes;
+    # reflected, the columns' last coordinates are negative, so the lines
+    # the probe walks reach below the box
     pres, ideal = _problem_and_ideal(name, ideal_kind)
+    assert min(c[-1] for c in pres.columns) < 0 or not ideal_kind.endswith("-reflected")
     degrees = list(range(len(ideal.generator_degrees) + 1))
     for i, probe in zip(degrees, socle_probe(pres, ideal, degrees, [2, 6])):
         reference = _reference_socle_degrees(pres, ideal, i, 6)
         assert probe.degrees_by_radius == (
             (2, tuple(a for a in reference if max(map(abs, a)) <= 2)), (6, reference))
+
+
+@pytest.mark.parametrize("name,ideal_kind", [
+    ("dim3_hartshorne", "file"),
+    ("dim3_hartshorne", "file-reflected"),
+    ("dim1_3_5_7", "file"),
+    ("dim2_nonscored", "maximal"),
+    ("pentagon_scored", "bench-reflected"),
+])
+def test_socle_probe_ignores_column_order(name, ideal_kind):
+    # the lines the probe walks reach past the box by the columns' last
+    # coordinates; permuting the columns, as the benchmark's seeds do, keeps
+    # the semigroup and so every probe.  At radius 0 alone the box is the
+    # origin, checked against the per-degree reference
+    pres, ideal = _problem_and_ideal(name, ideal_kind)
+    degrees = list(range(len(ideal.generator_degrees) + 1))
+    for i, probe in zip(degrees, socle_probe(pres, ideal, degrees, [0])):
+        assert probe.degrees_by_radius == ((0, _reference_socle_degrees(pres, ideal, i, 0)),)
+    expected = socle_probe(pres, ideal, degrees, [0, 1, 4])
+    assert any(count for probe in expected for _, count in probe.counts)
+    rng = random.Random(ideal_kind)
+    for _ in range(3):
+        order = rng.sample(range(pres.ncols), pres.ncols)
+        permuted = ToricPresentation.build([[row[j] for j in order] for row in pres.matrix])
+        assert socle_probe(permuted, ideal, degrees, [0, 1, 4]) == expected, order
 
 
 @pytest.mark.parametrize("radii", [[], [-1], [3, -2]])
@@ -367,7 +399,16 @@ def _bench_problem(name):
 
 def _problem_and_ideal(name, ideal_kind):
     """A corpus problem with its maximal or file ideal, or a benchmark
-    problem with its maximal ideal."""
+    problem with its maximal ideal; with the suffix "-reflected", the same
+    with the last coordinate negated, which gives every column with a
+    nonzero last coordinate a negative one."""
+    if ideal_kind.endswith("-reflected"):
+        pres, ideal = _problem_and_ideal(name, ideal_kind.removesuffix("-reflected"))
+        reflected = ToricPresentation.build([*pres.matrix[:-1], la.vneg(pres.matrix[-1])])
+        if ideal.is_maximal:
+            return reflected, MonomialIdeal.maximal_ideal(reflected)
+        return reflected, MonomialIdeal.from_degrees(
+            reflected, [(*g[:-1], -g[-1]) for g in ideal.generator_degrees])
     if ideal_kind == "bench":
         pres = _bench_problem(name)
         return pres, MonomialIdeal.maximal_ideal(pres)

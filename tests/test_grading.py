@@ -402,3 +402,25 @@ def test_non_normal_build_tables_only_the_inner_box():
 def test_char_variety_rejects_nonscored():
     with pytest.raises(HypothesisFailed):
         char_variety_max(presentation("dim2_nonscored"))
+
+
+@pytest.mark.parametrize("name, shift", [
+    ("dim1_3_5_7", -5), ("dim2_scored_nonnormal", -3), ("pentagon_scored", -3)])
+def test_sampled_checks_catch_one_wrong_escape_count(monkeypatch, name, shift):
+    # the corpus digests pin only passing checks; an escape count off by one
+    # at one shift of one facet, a shift that the sampled degrees and sums
+    # reach, must fail the reflection, member and exponent-map checks
+    pres = (ToricPresentation.build(PENTAGON_SCORED) if name == "pentagon_scored"
+            else presentation(name))
+    wrong = pres.facet_semigroups[0]
+    escape_count = semigroups.NumericalSemigroup.escape_count
+    monkeypatch.setattr(
+        semigroups.NumericalSemigroup, "escape_count",
+        lambda ns, v: escape_count(ns, v) + (ns is wrong and v == shift))
+    failures = verify_exponent_identities(pres).failures
+    assert any(f.startswith("reflection failed") for f in failures)
+    assert any(f.startswith("member degree") for f in failures)
+    assert not all(ok for _, ok in grading._exponent_map_checks(pres))
+    monkeypatch.undo()
+    assert verify_exponent_identities(pres).ok
+    assert all(ok for _, ok in grading._exponent_map_checks(pres))

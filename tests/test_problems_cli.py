@@ -1,6 +1,10 @@
 """Problem file grammar, CLI subcommands, exit codes, report formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -401,3 +405,21 @@ def test_cli_contract_on_random_problems(tmp_path, text, args):
     path.write_text(text, encoding="utf-8")
     command, flags = args
     assert run([command, str(path), *flags]) in {0, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", str(CORPUS_DIR / "dim1_2_5.toric"), "--format", "machine"], 0),
+    (["analyze", str(CORPUS_DIR / "no_such_problem.toric")], 4),
+], ids=["ok", "missing-file"])
+def test_python_dash_m_runs_the_cli(argv, code):
+    # `python -m toriclc` is the `toriclc` script: same exit code, same report
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "toriclc", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert json.loads(proc.stdout)["command"] == "analyze"
+    else:
+        assert proc.stderr.startswith("error: ")

@@ -51,10 +51,12 @@ def test_render_machine_rejects_what_reports_never_hold(report):
 def test_report_digests_under_optimize():
     # assert statements vanish under -O, so the classification's checks and
     # the box walk must raise explicitly; the reports stay the same, also
-    # table2d_a's, whose decode lists three residues on each ray
+    # table2d_a's, whose decode lists three residues on each ray, and a
+    # socle probe's on the normal route
     argvs = [["grd", "corpus/dim1_4_6_9.toric"],
              ["lc", "corpus/dim2_nonscored.toric", "--socle", "2,4"],
-             ["sectors", "perfbench/problems/table2d_a.toric"]]
+             ["sectors", "perfbench/problems/table2d_a.toric"],
+             ["lc", "corpus/dim3_hartshorne.toric", "--socle", "5,10"]]
     script = (
         "import json, sys\n"
         "from report_digests import digest\n"

@@ -1,5 +1,6 @@
 """Membership oracles, numerical semigroups, classification flags."""
 
+import random
 from collections import Counter
 from dataclasses import replace
 from functools import cache
@@ -14,6 +15,8 @@ from conftest import CORPUS, REPO, enumeration, presentation, reference_cech_ran
 from oracles import (
     escape_count,
     face_membership_search,
+    face_residue_reps,
+    face_residues,
     facet_box_points,
     in_escape_set,
     in_monomial_localization,
@@ -28,19 +31,19 @@ from toriclc import (
     ToricPresentation,
     degree_signature,
     enumerate_classes,
-    face_residues,
     in_face_localization,
     in_semigroup,
     localization_faces,
     module_support,
     numerical_semigroup,
     smallest_containing_face,
+    values_in_semigroup,
 )
 from toriclc import intlinalg as la
 from toriclc import semigroups
 from toriclc.errors import FullLatticeRequired, SearchBoundExceeded
 from toriclc.problems import parse_problem_file
-from toriclc.semigroups import face_residue_reps, line_runs
+from toriclc.semigroups import line_runs
 
 
 def test_numerical_semigroup_23():
@@ -174,6 +177,38 @@ def _keyed(name):
     return pres, ideal, enumeration(name)
 
 
+@pytest.mark.parametrize("name, route", [
+    ("dim3_hartshorne", "normal"), ("dim1_4_6_9", "scored"), ("pentagon_scored", "scored"),
+    ("dim2_nonscored", None), ("table2d_a", None)])
+def test_values_in_semigroup_matches_search(name, route):
+    # the one membership route from facet values, on both fast paths and the
+    # table path (table2d_a with torsion in its face quotients), against the
+    # depth-first oracle: random degrees of a centered box, many with a
+    # negative facet value, and random sums of columns, shifted by a column
+    rows = {"pentagon_scored": PENTAGON_SCORED, "table2d_a": TABLE2D_A}
+    pres = ToricPresentation.build(rows[name]) if name in rows else presentation(name)
+    assert pres.fast_path == route
+    rng = random.Random(name)
+    spread = 2 * pres.max_facet_conductor() + max(abs(e) for row in pres.matrix for e in row)
+    degrees = [tuple(rng.randint(-spread, spread) for _ in range(pres.dim)) for _ in range(60)]
+    for _ in range(60):
+        a = la.zero_vector(pres.dim)
+        for c in pres.columns:
+            a = la.vadd(a, la.vscale(rng.randint(0, 2), c))
+        degrees.append(la.vsub(a, rng.choice(pres.columns)) if rng.random() < 0.5 else a)
+    bottom = pres.face_lattice.bottom_id
+    answers = Counter()
+    for a in degrees:
+        values = pres.facet_values(a)
+        expected = face_membership_search(pres, a, bottom, search_bound=100)
+        assert values_in_semigroup(pres, values) == expected == in_semigroup(pres, a), a
+        answers[expected, min(values) < 0] += 1
+    # members, holes with nonnegative facet values off the normal route, and
+    # degrees with a negative facet value were all asked
+    assert answers[True, False] and answers[False, True]
+    assert bool(answers[False, False]) == (route != "normal")
+
+
 @cache
 def _reference_key(pres, a):
     """A degree's key, its signature, one degree at a time.  On the table
@@ -214,14 +249,14 @@ def test_line_runs_match_reference_keys(name, data):
     lo = data.draw(st.integers(-15, 15), label="lo")
     hi = data.draw(st.integers(lo + 1, 16), label="hi")
     shift = data.draw(st.sampled_from([None, *pres.columns]), label="shift")
-    runs = line_runs(pres, prefix, lo, hi, shift)
+    if shift is not None:
+        prefix, lo, hi = la.vadd(prefix + (lo,), shift)[:-1], lo + shift[-1], hi + shift[-1]
+    runs = line_runs(pres, prefix, lo, hi)
     starts = [start for start, _ in runs]
     assert starts[0] == lo and starts[-1] < hi
     assert all(x < y for x, y in zip(starts, starts[1:]))
     assert all(k != n for (_, k), (_, n) in zip(runs, runs[1:]))
     line = [prefix + (x,) for x in range(lo, hi)]
-    if shift is not None:
-        line = [la.vadd(b, shift) for b in line]
     keys = [_reference_key(pres, b) for b in line]
     assert _run_keys(runs, hi) == keys
     assert [degree_signature(pres, b) for b in line] == keys
@@ -295,11 +330,10 @@ def test_localization_faces_match_search_and_residues(name, data):
     # expand to every degree's own key; degrees sharing a key share every
     # per-degree answer, and the key decodes to the per-query residue sets
     shift = data.draw(st.sampled_from([None, *pres.columns]), label="shift")
-    lo, hi = a[-1] - 3, a[-1] + 4
-    line = [a[:-1] + (x,) for x in range(lo, hi)]
-    if shift is not None:
-        line = [la.vadd(b, shift) for b in line]
-    keys = _run_keys(line_runs(pres, a[:-1], lo, hi, shift), hi)
+    moved = a if shift is None else la.vadd(a, shift)
+    lo, hi = moved[-1] - 3, moved[-1] + 4
+    line = [moved[:-1] + (x,) for x in range(lo, hi)]
+    keys = _run_keys(line_runs(pres, moved[:-1], lo, hi), hi)
     assert keys == [_reference_key(pres, b) for b in line]
     per_key = {}
     for b, key in zip(line, keys):
