@@ -178,6 +178,7 @@ def _exponent_table(pres):
 
 
 def _run_grd(pres, echo):
+    pres._require_pointed()
     identity_report = None
     exponent_table = []
     if pres.scored:

@@ -211,7 +211,6 @@ class GradedModuleDescription:
     """A family of local cohomology modules described class by class."""
 
     ideal: MonomialIdeal
-    pieces: tuple            # (class_id, cohomological_degree, rank >= 1)
     length: int              # total over all cohomological degrees
     lengths_by_degree: tuple  # (cohomological_degree, length)
     series_by_degree: tuple   # (cohomological_degree, ((class_id, multiplicity), ...))
@@ -233,7 +232,7 @@ def assemble_module(pres: ToricPresentation, ideal: MonomialIdeal,
                     enumeration: ClassEnumeration,
                     poset: ClassPoset = None) -> GradedModuleDescription:
     """Evaluate the Cech slice on every class and fold the results into
-    pieces, lengths and composition series.
+    lengths and composition series.
 
     Slices are sector-constant, hence class-constant; each class is still
     sampled at every stored sample point and a mismatch raises
@@ -256,12 +255,10 @@ def assemble_module(pres: ToricPresentation, ideal: MonomialIdeal,
                 "sections with support in a nonzero ideal must vanish on a domain"
             )
         per_class[cls.class_id] = ranks
-    pieces = []
     lengths = {}
-    for cls in enumeration.classes:
-        for i, r in enumerate(per_class[cls.class_id]):
+    for ranks in per_class.values():
+        for i, r in enumerate(ranks):
             if i >= 1 and r > 0:
-                pieces.append((cls.class_id, i, r))
                 lengths[i] = lengths.get(i, 0) + r
     series = []
     for i in sorted(lengths):
@@ -273,7 +270,6 @@ def assemble_module(pres: ToricPresentation, ideal: MonomialIdeal,
         series.append((i, factors))
     return GradedModuleDescription(
         ideal=ideal,
-        pieces=tuple(sorted(pieces)),
         length=sum(lengths.values()),
         lengths_by_degree=tuple(sorted(lengths.items())),
         series_by_degree=tuple(series),

@@ -38,6 +38,7 @@ from .errors import (
 from .semigroups import (
     ToricPresentation,
     in_face_localization,
+    localization_faces,
     values_in_semigroup,
 )
 
@@ -192,19 +193,21 @@ def gr_generators_dim1(pres: ToricPresentation) -> tuple:
     return tuple(sorted(pairs))
 
 
-def _pair_semigroup_member(pairs, target, memo) -> bool:
-    if target in memo:
-        return memo[target]
-    u, v = target
-    result = (u, v) == (0, 0)
-    if not result and u >= 0 and v >= 0:
-        for pu, pv in pairs:
-            if (pu or pv) and pu <= u and pv <= v:
-                if _pair_semigroup_member(pairs, (u - pu, v - pv), memo):
-                    result = True
-                    break
-    memo[target] = result
-    return result
+def _pair_semigroup_rows(pairs, top: int) -> list:
+    """Row t, for t = 0, ..., top, holds the members (u, t - u) of the
+    semigroup the pairs generate as the bits u of an int.  Every pair but
+    (0, 0) raises the total u + v, so a point is a member iff it is (0, 0)
+    or some member lies one pair below it: row t is the union of the rows
+    t - pu - pv shifted by pu."""
+    steps = [(pu, pu + pv) for pu, pv in pairs if pu or pv]
+    rows = [1]
+    for total in range(1, top + 1):
+        row = 0
+        for pu, size in steps:
+            if size <= total:
+                row |= rows[total - size] << pu
+        rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -237,22 +240,20 @@ def notcm_certificate(pres: ToricPresentation) -> NotCMCertificate:
     ns = pres.facet_semigroups[0]
     pairs = gr_generators_dim1(pres)
     threshold = max(2 * ns.escape_count(-w) for w in ns.gaps)
-    memo = {}
+    rows = _pair_semigroup_rows(pairs, threshold + 1)
     strip = []
     for total in (threshold, threshold + 1):
-        for u in range(total + 1):
-            v = total - u
-            if min(u, v) >= 1 and not _pair_semigroup_member(pairs, (u, v), memo):
-                raise AssertionError(f"diagonal pair ({u}, {v}) is not generated")
+        for u in range(1, total):
+            if not rows[total] >> u & 1:
+                raise AssertionError(f"diagonal pair ({u}, {total - u}) is not generated")
         strip.append(total)
     if threshold < ns.conductor:
         raise AssertionError("threshold below the facet conductor")
     gaps = tuple(
-        (u, v)
+        (u, total - u)
         for total in range(threshold)
         for u in range(total + 1)
-        for v in (total - u,)
-        if not _pair_semigroup_member(pairs, (u, v), memo)
+        if not rows[total] >> u & 1
     )
     gr_pres = ToricPresentation.build(
         [[p[0] for p in pairs], [p[1] for p in pairs]],
@@ -445,10 +446,7 @@ def char_variety_max(pres: ToricPresentation) -> FiberCertificate:
         x = tuple(sum(map(mul, row, draws)) for row in pres.matrix)
         if la.is_zero_vector(x):
             continue
-        shifted = la.vsub(la.vneg(x), alpha)
-        # its facet values, computed once for every facet's region
-        values = pres.facet_values(shifted)
-        if any(in_face_localization(pres, shifted, f, values) for f in facets):
+        if localization_faces(pres, la.vsub(la.vneg(x), alpha), facets):
             nonvanishing = False
     checks.append(("shifted_degrees_escape_every_facet_region", nonvanishing))
     # outward degrees eventually reenter a facet region after the shift

@@ -235,44 +235,36 @@ def smith_normal_form(m: Matrix):
     return mat(a), mat(u), mat(v)
 
 
-def rank(m: Matrix) -> int:
-    """Rank over the rationals, by fraction-free (Bareiss) row reduction of
-    a copy, with no unimodular transform: every entry stays a minor of m,
-    so each division by the previous pivot is exact."""
+def _bareiss(m: Matrix) -> tuple:
+    """Fraction-free (Bareiss) row reduction of a copy of m: its rank and
+    the last pivot, signed by the row swaps (1 for rank 0).  Every entry
+    stays a minor of m, so each division by the previous pivot is exact,
+    and for a square m of full rank the signed last pivot is det(m)."""
     rows = [list(r) for r in m]
-    r, prev = 0, 1
+    r, prev, sign = 0, 1, 1
     for col in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
         p = rows[r][col]
         rows[r + 1:] = [[(p * x - row[col] * y) // prev for x, y in zip(row, rows[r])]
                         for row in rows[r + 1:]]
         r, prev = r + 1, p
-    return r
+    return r, sign * prev
+
+
+def rank(m: Matrix) -> int:
+    """Rank over the rationals, by Bareiss elimination."""
+    return _bareiss(m)[0]
 
 
 def det(m: Matrix) -> int:
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(map(int, r)) for r in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    r, pivot = _bareiss(m)
+    return pivot if r == len(m) else 0
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,9 @@ against the table oracle on the verification box and its negation, and is
 disabled on any disagreement.  Membership in the semigroup itself is one
 function of a degree's facet values (values_in_semigroup) on every route:
 the failing-facet test on a fast path, a bottom-table read keyed by the
-values on the table path; in_semigroup and the grading checks call it.
-Facet values are dot products with coefficient rows stored once per
-presentation.
+values on the table path; in_semigroup, smallest_containing_face and the
+grading checks call it.  Facet values are dot products with coefficient
+rows stored once per presentation.
 
 A face's residues are the elements of the torsion of Z^d / ZF, indexed by
 their torsion coordinates in lexicographic order.  A degree's key is its
@@ -41,7 +41,10 @@ signature: one int in the layout _key_bits, with a bit per face and
 residue, set iff the degree minus the residue lies in the face's
 localization.  One line kernel (line_runs) cuts a line into maximal runs
 of constant signature on every route; the class scan and socle probes
-walk their boxes a run at a time.  Only this module knows the layout.
+walk their boxes a run at a time.  Every localization question is read
+off the signature: in_face_localization is the face's zero-residue bit,
+localization_faces those of several faces.  Only this module knows the
+layout.
 """
 
 from __future__ import annotations
@@ -313,13 +316,6 @@ class ToricPresentation:
             tbl.rebuild(needed, self.table_state_limit)
         return tbl
 
-    def _table_membership(self, a, face_id: int, values=None) -> bool:
-        """Whether a, with the given facet values (computed unless given),
-        lies in the face's localization, read off its table."""
-        if values is None:
-            values = self.facet_values(a)
-        return self._table_holds(face_id, self._table_key(face_id, a, values))
-
     def _table_key(self, face_id: int, a, values):
         """The key of a in the face's table, from its facet values by facet
         id, or None when a facet containing the face is negative on a, which
@@ -455,34 +451,24 @@ def in_semigroup(pres: ToricPresentation, a) -> bool:
     return values_in_semigroup(pres, pres.facet_values(_degree(pres, a)))
 
 
-def in_face_localization(pres: ToricPresentation, a, face_id: int, values=None) -> bool:
-    """Exact test for membership in (semigroup + group of the face); values,
-    when given, are the degree's facet values, read instead of computed."""
-    pres._require_pointed()
-    a = _degree(pres, a)
-    lattice = pres.face_lattice
-    if face_id == lattice.top_id:
-        return True
-    if values is None:
-        values = pres.facet_values(a)
-    if face_id == lattice.bottom_id:
-        return values_in_semigroup(pres, values)
-    if pres.fast_path is None:
-        return pres._table_membership(a, face_id, values)
-    # no facet containing the face fails
-    return not _failing_facets(pres, values) & pres._zero_facet_masks[face_id]
+def in_face_localization(pres: ToricPresentation, a, face_id: int) -> bool:
+    """Exact test for membership in (semigroup + group of the face): the
+    face's zero-residue bit in the degree's signature.  On the table path
+    the signature reads every face's table, so one query can build or grow
+    the tables of other faces too, and raises SearchBoundExceeded where one
+    of them outgrows its limit."""
+    return face_id in localization_faces(pres, a, (face_id,))
 
 
 def smallest_containing_face(pres: ToricPresentation, b) -> int:
     """Id of the smallest face of the cone containing a semigroup degree."""
     pres._require_pointed()
-    b = la.vec(b)
-    if not in_semigroup(pres, b):
+    b = _degree(pres, b)
+    values = pres.facet_values(b)
+    if not values_in_semigroup(pres, values):
         raise GeneratorNotInSemigroup(f"{b} is not in the semigroup")
-    zero = frozenset(
-        s.facet_id for s in pres.supports if s.value(b) == 0
-    )
-    return pres.face_lattice.face_id_by_zero_facets(zero)
+    return pres.face_lattice.face_id_by_zero_facets(
+        frozenset(s for s, v in enumerate(values) if v == 0))
 
 
 # -- signatures ---------------------------------------------------------------

@@ -5,7 +5,7 @@ queries, monomial localizations, escape sets and counts by their
 definitions, the index of a lattice in its saturation, and the flag
 classification that materializes each box before walking it."""
 
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, product
 from math import gcd
 from operator import mul
@@ -96,6 +96,13 @@ def lattice_contains(lattice: la.Sublattice, v) -> bool:
     return lattice_solve(lattice.basis, v) is not None
 
 
+
+
+def table_membership(pres, a, face_id: int) -> bool:
+    """Whether the degree lies in the face's localization, read off the
+    face's table by its key: the table route, on every regime, also where
+    a fast path answers."""
+    return pres._table_holds(face_id, pres._table_key(face_id, a, pres.facet_values(a)))
 
 
 def face_membership_search(pres, a, face_id: int, *, search_bound=None) -> bool:
@@ -268,7 +275,7 @@ def classify_materialized(pres) -> None:
     table oracle about."""
     lattice = pres.face_lattice
     bottom = lattice.bottom_id
-    oracle = cache(pres._table_membership)
+    oracle = cache(partial(table_membership, pres))
     caps = {
         s.facet_id: ns.conductor + pres.box_margin
         for s, ns in zip(pres.supports, pres.facet_semigroups)

@@ -30,7 +30,7 @@ def _classified(classify, rows, **options):
     rebuilds, drawn, asked = Counter(), set(), []
     rebuild = semigroups._BfsTable.rebuild
     box_walk = semigroups._box_walk
-    table_membership = ToricPresentation._table_membership
+    table_key = ToricPresentation._table_key
 
     def counted_rebuild(self, caps, state_limit):
         rebuilds[self.relevant] += 1
@@ -41,14 +41,14 @@ def _classified(classify, rows, **options):
             drawn.add(a)
             yield a, values
 
-    def recorded_membership(self, a, face_id):
+    def recorded_key(self, face_id, a, values):
         asked.append((a, face_id))
-        return table_membership(self, a, face_id)
+        return table_key(self, face_id, a, values)
 
     with mock.patch.object(semigroups, "_classify", classify), \
             mock.patch.object(semigroups._BfsTable, "rebuild", counted_rebuild), \
             mock.patch.object(semigroups, "_box_walk", recorded_walk), \
-            mock.patch.object(ToricPresentation, "_table_membership", recorded_membership):
+            mock.patch.object(ToricPresentation, "_table_key", recorded_key):
         try:
             pres = ToricPresentation.build(rows, **options)
         except Exception as exc:  # the reference must raise the same

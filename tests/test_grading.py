@@ -1,7 +1,11 @@
 """Facet exponents, exponent identities, graded-ring certificates."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +213,22 @@ def test_notcm_2_5():
     assert cert.s2_failed
     oracle = brute_pair_gaps(cert.generator_pairs, cert.codimension_threshold + 4)
     assert oracle == set(cert.gap_pairs)
+
+
+def test_notcm_certificate_does_not_recurse_per_pair():
+    # (2, 401) has threshold 800: a recursion one pair deep per frame would
+    # pass a low recursion limit, which the quadrant sweep never nears
+    code = ("import sys; sys.setrecursionlimit(200)\n"
+            "from toriclc import ToricPresentation, notcm_certificate\n"
+            "cert = notcm_certificate(ToricPresentation.build([[2, 401]]))\n"
+            "print(cert.codimension_threshold, len(cert.gap_pairs), cert.s2_failed)")
+    src = Path(grading.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["800", "40200", "True"]
 
 
 def test_notcm_rejects_normal():

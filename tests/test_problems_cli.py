@@ -257,6 +257,7 @@ def test_cli_sublattice_exit_code(tmp_path, capsys):
     (["analyze", "non_utf8"], 4),
     (["lc", "dim2_normal", "--ideal=1,0", "--maximal"], 4),
     (["grd", "line"], 2),
+    (["grd", "plane"], 2),
     (["analyze", "dim2_normal", "--output",
       str(CORPUS_DIR / "no-such-dir" / "report.json")], 4),
     (["analyze", "broken_classify"], 5),
@@ -268,7 +269,7 @@ def test_cli_sublattice_exit_code(tmp_path, capsys):
         "socle-negative", "socle-empty", "ideal-outside", "ideal-unit", "ideal-empty",
         "missing-file", "non-utf8",
         "ideal-and-maximal",
-        "grd-not-pointed", "output-missing-dir", "invariant-assertion",
+        "grd-not-pointed", "grd-not-pointed-plane", "output-missing-dir", "invariant-assertion",
         "invariant-cycle", "invariant-rank-mismatch", "invariant-interior-point"])
 def test_cli_exit_code_contract(tmp_path, capsys, monkeypatch, argv, code):
     """Bad input gives its documented exit code and a one-line error; a
@@ -297,9 +298,11 @@ def test_cli_exit_code_contract(tmp_path, capsys, monkeypatch, argv, code):
         "missing_file": tmp_path / "missing.toric",
         "non_utf8": tmp_path / "latin1.toric",
         "line": tmp_path / "line.toric",
+        "plane": tmp_path / "plane.toric",
     }
     problems["box_zero_in_file"].write_text("matrix:\n2 3\nbox: 0\n")
     problems["line"].write_text("matrix:\n1 -1\n")
+    problems["plane"].write_text("matrix:\n1 0 -1\n0 1 0\n")
     problems["non_utf8"].write_bytes(b"matrix:\n2 3\n# \xff\n")
     command, name, *flags = argv
     assert run([command, str(problems[name]), *flags]) == code

@@ -51,12 +51,14 @@ def test_render_machine_rejects_what_reports_never_hold(report):
 def test_report_digests_under_optimize():
     # assert statements vanish under -O, so the classification's checks and
     # the box walk must raise explicitly; the reports stay the same, also
-    # table2d_a's, whose decode lists three residues on each ray, and a
-    # socle probe's on the normal route
+    # table2d_a's, whose decode lists three residues on each ray, a socle
+    # probe's on the normal route, and pentagon_scored's grd, whose
+    # characteristic-variety checks read signatures on the scored route
     argvs = [["grd", "corpus/dim1_4_6_9.toric"],
              ["lc", "corpus/dim2_nonscored.toric", "--socle", "2,4"],
              ["sectors", "perfbench/problems/table2d_a.toric"],
-             ["lc", "corpus/dim3_hartshorne.toric", "--socle", "5,10"]]
+             ["lc", "corpus/dim3_hartshorne.toric", "--socle", "5,10"],
+             ["grd", "perfbench/problems/pentagon_scored.toric"]]
     script = (
         "import json, sys\n"
         "from report_digests import digest\n"

@@ -430,7 +430,8 @@ def test_final_box_keys_decode_to_distinct_signatures(name):
 @pytest.mark.parametrize("name", ROUTES)
 def test_class_scan_and_degree_signature_ask_no_membership(name, monkeypatch):
     # the scan and degree_signature read every answer off keys: no
-    # per-residue membership query, through the oracle or a table lookup
+    # per-residue membership query, through the oracle or a per-degree
+    # table key
     pres = ToricPresentation.build(_keyed(name)[0].matrix)
     asked = []
     oracle = semigroups.in_face_localization
@@ -438,10 +439,10 @@ def test_class_scan_and_degree_signature_ask_no_membership(name, monkeypatch):
         monkeypatch.setattr(
             module, "in_face_localization",
             lambda p, a, f: asked.append((a, f)) or oracle(p, a, f))
-    table_membership = ToricPresentation._table_membership
+    table_key = ToricPresentation._table_key
     monkeypatch.setattr(
-        ToricPresentation, "_table_membership",
-        lambda p, a, f: asked.append((a, f)) or table_membership(p, a, f))
+        ToricPresentation, "_table_key",
+        lambda p, f, a, values: asked.append((a, f)) or table_key(p, f, a, values))
     enum = sectors.enumerate_classes(pres)
     for cls in enum.classes:
         assert all(degree_signature(pres, a) == cls.signature for a in cls.samples)

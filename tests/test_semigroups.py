@@ -21,6 +21,7 @@ from oracles import (
     in_escape_set,
     in_monomial_localization,
     monomial_localization_witness,
+    table_membership,
 )
 
 from toriclc import (
@@ -297,7 +298,7 @@ def test_table_rebuild_stores_keys_before_caps():
 
         def __setattr__(self, name, value):
             super().__setattr__(name, value)
-            answers.append((name, pres._table_membership(a, bottom)))
+            answers.append((name, table_membership(pres, a, bottom)))
 
     tbl.__class__ = Observed
     tbl.rebuild((20, 20), pres.table_state_limit)
@@ -798,7 +799,7 @@ def test_membership_routes_agree_on_random_presentations():
                 assert in_face_localization(pres, a, f) == expected, (rows, a, f)
                 if f != pres.face_lattice.top_id:
                     # the table route, also where a fast path answers above
-                    assert pres._table_membership(a, f) == expected, (rows, a, f)
+                    assert table_membership(pres, a, f) == expected, (rows, a, f)
         assert pres._tables
         for f, tbl in pres._tables.items():
             # a state's table key is its facet values and torsion residues;
@@ -874,7 +875,7 @@ def test_table_reads_grow_tables_as_a_read_that_grows_first(rows, data):
         else:
             tbl = eager._grown_table(f, vals)
             expected = vals + tuple(la.dot(a, c) % m for c, m in tbl.torsion) in tbl.keys
-        assert lazy._table_membership(a, f) == expected, (a, f)
+        assert table_membership(lazy, a, f) == expected, (a, f)
         assert {g: t.caps for g, t in lazy._tables.items()} == {
             g: t.caps for g, t in eager._tables.items()}, (a, f)
 
