@@ -43,8 +43,8 @@ localization.  One line kernel (line_runs) cuts a line into maximal runs
 of constant signature on every route; the class scan and socle probes
 walk their boxes a run at a time.  Every localization question is read
 off the signature: in_face_localization is the face's zero-residue bit,
-localization_faces those of several faces.  Only this module knows the
-layout.
+localization_faces those of several faces, and on the table path only the
+asked faces' tables are read.  Only this module knows the layout.
 """
 
 from __future__ import annotations
@@ -427,9 +427,10 @@ def _degree(pres: ToricPresentation, a):
 def localization_faces(pres: ToricPresentation, a, face_ids, key=None) -> frozenset:
     """The faces among face_ids whose localization (semigroup + group of the
     face) contains the degree: those whose zero-residue bit is set in the
-    degree's key, its signature, computed unless given."""
+    degree's key, its signature, computed unless given, and then on the
+    table path only at the bits of face_ids."""
     pres._require_pointed()
-    sig = degree_signature(pres, a) if key is None else key
+    sig = degree_signature(pres, a, face_ids) if key is None else key
     layout = _key_bits(pres)
     return frozenset(f for f in face_ids if sig >> layout[f][1] & 1)
 
@@ -453,10 +454,8 @@ def in_semigroup(pres: ToricPresentation, a) -> bool:
 
 def in_face_localization(pres: ToricPresentation, a, face_id: int) -> bool:
     """Exact test for membership in (semigroup + group of the face): the
-    face's zero-residue bit in the degree's signature.  On the table path
-    the signature reads every face's table, so one query can build or grow
-    the tables of other faces too, and raises SearchBoundExceeded where one
-    of them outgrows its limit."""
+    face's zero-residue bit in the degree's signature, which on the table
+    path reads that face's table alone."""
     return face_id in localization_faces(pres, a, (face_id,))
 
 
@@ -492,8 +491,9 @@ def _key_bits(pres: ToricPresentation) -> tuple:
     return pres._key_layout
 
 
-def _table_keys(pres: ToricPresentation, prefix, lo: int, hi: int) -> list:
-    """The table-path keys of the degrees prefix + (x,), lo <= x < hi.
+def _table_keys(pres: ToricPresentation, prefix, lo: int, hi: int, face_ids=None) -> list:
+    """The table-path keys of the degrees prefix + (x,), lo <= x < hi, with
+    the bits of face_ids alone when given: no other face's table is read.
 
     A face's bits can be set only where the values F_s = base + slope * x
     of all its facets are nonnegative, an interval of x.  The face's table
@@ -505,7 +505,7 @@ def _table_keys(pres: ToricPresentation, prefix, lo: int, hi: int) -> list:
     top = pres.face_lattice.top_id
     keys = [1 << _key_bits(pres)[top][1]] * (hi - lo)
     for face_id, offset, residues in _key_bits(pres):
-        if face_id == top:
+        if face_id == top or face_ids is not None and face_id not in face_ids:
             continue
         start, stop, lines = lo, hi, []
         for s in pres._zero_facet_ids[face_id]:
@@ -550,18 +550,20 @@ class _MaskSignatures(dict):
         return sig
 
 
-def line_runs(pres: ToricPresentation, prefix, lo: int, hi: int) -> list:
+def line_runs(pres: ToricPresentation, prefix, lo: int, hi: int, face_ids=None) -> list:
     """Maximal runs [(start, signature)] of constant signature over the
     degrees prefix + (x,) for lo <= x < hi, by increasing start: a run ends
     where the next starts, the last at hi.
 
     On the table path the bits of a line are read off the tables
-    (_table_keys).  On a fast path every answer tests F_s(a - r) against
-    S_s, with r zero or a torsion residue representative of a face inside
-    facet s; such an r lies in its face's span, so F_s(a - r) = F_s(a), and
-    the signature is a function of the failing-facet mask.  Each facet is a
-    face, so the mask is a function of the signature too, and runs of
-    constant mask are the runs of constant signature.  Along the line
+    (_table_keys), given face_ids those of its faces alone, and the runs
+    are those of that part of the signature.  On a fast path every answer
+    tests F_s(a - r) against S_s, with r zero or a torsion residue
+    representative of a face inside facet s; such an r lies in its face's
+    span, so F_s(a - r) = F_s(a), and the signature is a function of the
+    failing-facet mask.  Each facet is a face, so the mask is a function of
+    the signature too, and runs of constant mask are the runs of constant
+    signature.  Along the line
     F_s = base + slope * x, so bit s of the mask toggles only at the sign
     threshold and at x and x + 1 for an x where F_s is a gap of S_s;
     toggles at one x are XORed, and an x where they cancel starts no run.
@@ -569,7 +571,7 @@ def line_runs(pres: ToricPresentation, prefix, lo: int, hi: int) -> list:
     coefficients, slope, gaps), and only a facet with gaps walks them."""
     if pres.fast_path is None:
         runs = []
-        for x, sig in enumerate(_table_keys(pres, prefix, lo, hi), lo):
+        for x, sig in enumerate(_table_keys(pres, prefix, lo, hi, face_ids), lo):
             if not runs or sig != runs[-1][1]:
                 runs.append((x, sig))
         return runs
@@ -601,10 +603,11 @@ def line_runs(pres: ToricPresentation, prefix, lo: int, hi: int) -> list:
     return runs
 
 
-def degree_signature(pres: ToricPresentation, a) -> int:
-    """The signature of one degree: the key of its one-degree run."""
+def degree_signature(pres: ToricPresentation, a, face_ids=None) -> int:
+    """The signature of one degree: the key of its one-degree run, on the
+    table path with the bits of face_ids alone when given."""
     a = _degree(pres, a)
-    return line_runs(pres, a[:-1], a[-1], a[-1] + 1)[0][1]
+    return line_runs(pres, a[:-1], a[-1], a[-1] + 1, face_ids)[0][1]
 
 
 def signature_residues(pres: ToricPresentation, sig) -> tuple:

@@ -9,11 +9,10 @@ import pytest
 from toriclc import (
     ToricPresentation,
     enumerate_classes,
-    in_face_localization,
-    in_semigroup,
     smallest_containing_face,
 )
 from toriclc import intlinalg as la
+from oracles import table_membership
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO / "corpus"
@@ -75,21 +74,17 @@ def pres_cusp():
 
 
 def reference_cech_ranks(pres, ideal, a):
-    """Cech ranks with one membership test per generator subset and the
-    complex built from scratch."""
+    """Cech ranks with one table read per generator subset, the subset's
+    face localization read off that face's table independently of the
+    signature, and the complex built from scratch."""
     degrees = ideal.generator_degrees
     t = len(degrees)
     terms = []
     for size in range(t + 1):
         present = []
         for subset in combinations(range(t), size):
-            if not subset:
-                member = in_semigroup(pres, a)
-            else:
-                total = tuple(sum(c) for c in zip(*(degrees[j] for j in subset)))
-                face = smallest_containing_face(pres, total)
-                member = in_face_localization(pres, a, face)
-            if member:
+            total = tuple(sum(c) for c in zip(*(degrees[j] for j in subset))) or (0,) * pres.dim
+            if table_membership(pres, a, smallest_containing_face(pres, total)):
                 present.append(subset)
         terms.append(present)
     rank = []

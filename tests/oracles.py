@@ -13,7 +13,6 @@ from operator import mul
 from toriclc import (
     DimensionUnsupported,
     SearchBoundExceeded,
-    in_face_localization,
     in_semigroup,
     smallest_containing_face,
 )
@@ -80,12 +79,12 @@ def face_residue_reps(pres, face_id: int) -> tuple:
 
 def face_residues(pres, a, face_id: int) -> frozenset:
     """Residue indices i with a - r_i in the face-translated semigroup, one
-    membership query per representative r_i (face_residue_reps): the
-    per-query reference for the decode of the degree's signature."""
+    table read per representative r_i (face_residue_reps): the per-query
+    reference for the decode of the degree's signature."""
     a = la.vec(a)
     return frozenset(
         i for i, rep in enumerate(face_residue_reps(pres, face_id))
-        if in_face_localization(pres, la.vsub(a, rep), face_id)
+        if table_membership(pres, la.vsub(a, rep), face_id)
     )
 
 
@@ -100,8 +99,13 @@ def lattice_contains(lattice: la.Sublattice, v) -> bool:
 
 def table_membership(pres, a, face_id: int) -> bool:
     """Whether the degree lies in the face's localization, read off the
-    face's table by its key: the table route, on every regime, also where
-    a fast path answers."""
+    face's table by its key; the full cone's localization holds every
+    degree.  The table route on every regime, also where a fast path
+    answers, and independent of the signature: the reference for
+    in_face_localization, which reads the face's bit in the signature."""
+    if face_id == pres.face_lattice.top_id:
+        return True
+    a = la.vec(a)
     return pres._table_holds(face_id, pres._table_key(face_id, a, pres.facet_values(a)))
 
 
@@ -172,9 +176,9 @@ def in_monomial_localization(pres, a, b) -> bool:
     Inverting the monomial of degree b inverts exactly the smallest face
     containing b, so this equals membership in the semigroup translated by
     that face's group; the equivalence makes the test exact with no search
-    over m.
+    over m; the face's table answers.
     """
-    return in_face_localization(pres, a, smallest_containing_face(pres, b))
+    return table_membership(pres, a, smallest_containing_face(pres, b))
 
 
 def monomial_localization_witness(pres, a, b, *, limit: int = 10000):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CORPUS, presentation
+from oracles import face_membership_search
 from report_digests import digest
 from test_semigroups import PENTAGON_SCORED
 
@@ -326,6 +327,35 @@ def test_char_variety_2dim(pres_2dim):
 def test_char_variety_hartshorne_accepts_nonsimplicial(pres_hartshorne):
     cert = char_variety_max(pres_hartshorne)
     assert cert.verified
+
+
+def test_char_variety_on_scored_table_path_reads_asked_faces_alone(monkeypatch):
+    # scored on its box but on the table path, as face 7's quotient has
+    # torsion: every localization check of the certificate answers as the
+    # depth-first search does, and grows no table but those of the faces
+    # it asks; the reentry loop reaches n = 62 on facet 2, where growing
+    # the other faces' tables would exceed the table state limit
+    pres = ToricPresentation.build([[1, 4, 2, 4], [-3, -3, -3, 1], [3, 1, 4, 3]])
+    assert (pres.scored, pres.fast_path) == (True, None)
+    assert not pres.face_quotient(7).is_torsion_free()
+    caps = {f: tbl.caps for f, tbl in pres._tables.items()}
+    asked = set()
+    localization_faces = grading.localization_faces
+
+    def checked(p, a, face_ids):
+        present = localization_faces(p, a, face_ids)
+        assert present == frozenset(
+            f for f in face_ids if face_membership_search(p, a, f, search_bound=1000)), a
+        asked.update(face_ids)
+        return present
+
+    monkeypatch.setattr(grading, "localization_faces", checked)
+    monkeypatch.setattr(grading, "in_face_localization", lambda p, a, f: f in checked(p, a, (f,)))
+    cert = char_variety_max(pres)
+    assert cert.verified
+    assert "facet 2: reentry exponent 62" in cert.notes
+    grown = {f for f, tbl in pres._tables.items() if caps.get(f) != tbl.caps}
+    assert grown and grown <= asked
 
 
 def test_grd_runs_exponent_map_checks_once_per_presentation(monkeypatch):

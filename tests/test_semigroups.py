@@ -272,14 +272,14 @@ def test_line_runs_match_reference_keys(name, data):
 def test_degree_key_is_its_one_degree_run(name, data):
     # on every route a degree's key is its signature: that of its
     # one-degree run, the reference signature and, with the zero residue
-    # alone on a fast path, the faces whose localization holds it
+    # alone on a fast path, the faces whose tables hold it
     pres = _keyed(name)[0]
     a = data.draw(st.tuples(*[st.integers(-15, 15)] * pres.dim), label="a")
     sig = degree_signature(pres, a)
     assert sig == line_runs(pres, a[:-1], a[-1], a[-1] + 1)[0][1] == _reference_key(pres, a)
     if pres.fast_path is not None:
         assert sig == sum(1 << f.face_id for f in pres.face_lattice.faces
-                          if in_face_localization(pres, a, f.face_id))
+                          if table_membership(pres, a, f.face_id))
 
 
 def test_table_rebuild_stores_keys_before_caps():
@@ -338,7 +338,7 @@ def test_localization_faces_match_search_and_residues(name, data):
     assert keys == [_reference_key(pres, b) for b in line]
     per_key = {}
     for b, key in zip(line, keys):
-        present = frozenset(f for f in faces if in_face_localization(pres, b, f))
+        present = frozenset(f for f in faces if table_membership(pres, b, f))
         residues = tuple(face_residues(pres, b, f) for f in faces)
         ranks = reference_cech_ranks(pres, ideal, b)
         assert per_key.setdefault(key, (present, residues, ranks)) == (present, residues, ranks)
