@@ -7,10 +7,14 @@ and the flags normal / scored / Serre-S2.  Normality is decided exactly,
 by the table oracle on the box that holds every parallelepiped point of
 every simplicial cone spanned by columns.  The other two flags are checked
 exhaustively on a finite facet-value box, reported together with that box:
-a false flag has a witness there, a true one is the exact definition
-restricted to the box, not a global proof.  Each box is walked lazily, a
-point with its facet values at a time; each check reads the face tables
-directly, once per distinct table key, and stops at its first witness.
+a false flag has a witness there, a true one holds on the box, not as a
+global proof.  A scored Q is cut out by its facet tests, F_s(a) in the
+facet numerical semigroup S_s, and so is each localization Q + ZF, by the
+facets containing F; the scored check tests every one of these
+consequences on the box, and each failure refutes the flag.  Each box is
+walked lazily, a point with its facet values at a time; each check reads
+the face tables directly, once per distinct table key, and stops at its
+first witness.
 
 Membership decisions are exact.  Key observation: every representation of
 a degree as a nonnegative combination of columns (plus an element of a
@@ -22,18 +26,16 @@ whose values fit under the cap.  The tests keep a depth-first solver with
 the same contract as an independent oracle; the two must agree wherever
 both can answer.
 
-Flags enable shortcuts, the normal and scored fast paths: membership in
-the semigroup translated by a face group reduces to checking that each
-facet containing the face has its value in the facet numerical semigroup
-S_s (on the normal route every S_s is N, so the check is a sign check).
-The normal shortcut follows from normality; the scored one is validated
-against the table oracle on the verification box and its negation, and is
-disabled on any disagreement.  Membership in the semigroup itself is one
-function of a degree's facet values (values_in_semigroup) on every route:
-the failing-facet test on a fast path, a bottom-table read keyed by the
-values on the table path; in_semigroup, smallest_containing_face and the
-grading checks call it.  Facet values are dot products with coefficient
-rows stored once per presentation.
+The fast path is the strongest flag that holds, normal or scored: there
+membership in the semigroup translated by a face group reduces to checking
+that each facet containing the face has its value in S_s (on the normal
+route every S_s is N, so the check is a sign check).  Membership in the
+semigroup itself is one function of a degree's facet values
+(values_in_semigroup) on every route: the failing-facet test on a fast
+path, a bottom-table read keyed by the values on the table path;
+in_semigroup, smallest_containing_face and the grading checks call it.
+Facet values are dot products with coefficient rows stored once per
+presentation.
 
 A face's residues are the elements of the torsion of Z^d / ZF, indexed by
 their torsion coordinates in lexicographic order.  A degree's key is its
@@ -212,8 +214,6 @@ class ToricPresentation:
         self._key_layout = None
         # _box_walk's (basis facet, lift, its values) per level, other facets
         self._walk_lifts = None
-        # grading's generator monomials and exponent-map checks, on first use
-        self._exponent_map = None
         self._zero_facet_masks = ()
         self._zero_facet_ids = ()
         self.normal = None
@@ -760,36 +760,37 @@ def _classify(pres: ToricPresentation) -> None:
         return all(read(face_id, key) == (not fail) for key, fail in dict.fromkeys(
             (pres._table_key(face_id, a, values), bits & fail) for a, values, fail in box))
 
+    # a scored Q is T = {a : F_s(a) in S_s for every facet s}; adding a deep
+    # point of a face F to a degree shows that Q + ZF is then cut out by the
+    # facets containing F, so it holds span F ∩ Z^d and Z^d / ZF is
+    # torsion-free.  Each failure below is a witness that Q is not scored:
+    # Q != T on the box (the bottom face lies in every facet; read point by
+    # point, to stop at the first witness), masks that miss another proper
+    # face's table on the box, or any proper face's on the negated box, where
+    # a nonzero facet value tests its sign, or a face quotient with torsion
+    proper = [f.face_id for f in lattice.faces if f.face_id != lattice.top_id]
+    negated = _Walk((la.vneg(a), values, _failing_facets(pres, values))
+                    for a, positive, _ in keyed for values in [tuple(-v for v in positive)])
+    pres.scored = (all(read(bottom, values) == (not fail) for _, values, fail in keyed)
+                   and all(masks_agree(f, keyed) for f in proper if f != bottom)
+                   and all(masks_agree(f, negated) for f in proper)
+                   and all(pres.face_quotient(f).is_torsion_free() for f in proper))
+    pres.fast_path = "scored" if pres.scored else None
+    # S2 on the box follows: a box point outside a scored Q fails some facet,
+    # whose table then misses it.  Otherwise, Q lies in every localization,
+    # so only a point outside Q can refute S2 and only there are the facet
+    # tables read; the origin, the walk's first point, is read at every
+    # facet first, which builds each at the box's caps
     facet_ids = [lattice.facet_face_id(s.facet_id) for s in pres.supports]
-    pres.scored = all(read(bottom, values) == (not masks[bottom] & fail)
-                      for _, values, fail in keyed)
-    # Q lies in every localization, so only a point outside Q can refute S2
-    # and only there are the facet tables read; the origin, the walk's first
-    # point, is read at every facet first, which builds each at the box's caps
     origin = (0,) * pres.dim, (0,) * len(pres.supports)
-    pres.serre_s2 = all(read(f, pres._table_key(f, *origin)) for f in facet_ids) and all(
-        read(bottom, values)
-        or not all(read(f, pres._table_key(f, a, values)) for f in facet_ids)
-        for a, values in points)
-    if pres.scored and not pres.serre_s2:
-        raise AssertionError("flags violate scored => Serre-S2")
+    pres.serre_s2 = pres.scored or (
+        all(read(f, pres._table_key(f, *origin)) for f in facet_ids)
+        and all(read(bottom, values)
+                or not all(read(f, pres._table_key(f, a, values)) for f in facet_ids)
+                for a, values in points))
     # a false flag has a witness on the box; a true one is only box-checked
     pres.flag_evidence = {
         "normal": "certified",
         "scored": "box" if pres.scored else "certified",
         "serre_s2": "box" if pres.serre_s2 else "certified",
     }
-    # trust the scored masks only where they match the table oracle for
-    # every proper face on the box (keyed in full, as scored holds; on the
-    # bottom face that is the scored check), whose facet values are
-    # nonnegative, and on the negated box, where a nonzero facet value tests
-    # the facet's sign; and only where every proper face quotient, which
-    # those tables hold, is torsion-free, as it is for a scored Q: then each
-    # face has one residue
-    proper = [f.face_id for f in lattice.faces if f.face_id != lattice.top_id]
-    negated = _Walk((la.vneg(a), values, _failing_facets(pres, values))
-                    for a, positive, _ in keyed for values in [tuple(-v for v in positive)])
-    pres.fast_path = "scored" if (
-        pres.scored and all(masks_agree(f, keyed) for f in proper if f != bottom)
-        and all(masks_agree(f, negated) for f in proper)
-        and all(pres.face_quotient(f).is_torsion_free() for f in proper)) else None

@@ -276,7 +276,13 @@ def classify_materialized(pres) -> None:
     semigroups._classify, which must set the same flags, evidence,
     verification box and fast path, rebuild every table as often and to
     the same caps, and walk no point that this reference does not ask the
-    table oracle about."""
+    table oracle about.
+
+    scored holds iff the failing-facet masks match every proper face's
+    table on the box and on the negated box and every proper face
+    quotient is torsion-free; the fast path follows the flags alone.
+    Serre-S2 is computed on its own over the whole box, also where scored
+    implies it, and the implication is checked."""
     lattice = pres.face_lattice
     bottom = lattice.bottom_id
     oracle = cache(partial(table_membership, pres))
@@ -316,7 +322,11 @@ def classify_materialized(pres) -> None:
     points = facet_box_points(pres, caps)
     keyed = with_masks(points)
     facet_ids = [lattice.facet_face_id(s.facet_id) for s in pres.supports]
-    pres.scored = masks_agree([bottom], keyed)
+    proper = [f.face_id for f in lattice.faces if f.face_id != lattice.top_id]
+    pres.scored = (
+        masks_agree([bottom], keyed) and masks_agree(proper, keyed)
+        and masks_agree(proper, with_masks(map(la.vneg, points)))
+        and all(pres.face_quotient(f).is_torsion_free() for f in proper))
     pres.serre_s2 = all(
         oracle(a, bottom) == all(oracle(a, f) for f in facet_ids) for a in points
     )
@@ -327,8 +337,4 @@ def classify_materialized(pres) -> None:
         "scored": "box" if pres.scored else "certified",
         "serre_s2": "box" if pres.serre_s2 else "certified",
     }
-    proper = [f.face_id for f in lattice.faces if f.face_id != lattice.top_id]
-    pres.fast_path = "scored" if (
-        pres.scored and masks_agree(proper, keyed)
-        and masks_agree(proper, with_masks(map(la.vneg, points)))
-        and all(pres.face_quotient(f).is_torsion_free() for f in proper)) else None
+    pres.fast_path = "scored" if pres.scored else None

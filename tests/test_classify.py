@@ -23,10 +23,11 @@ PROBLEM_FILES = sorted([*(REPO / "corpus").glob("*.toric"),
 
 def _classified(classify, rows, **options):
     """What a build classified by classify leaves: flags, evidence,
-    verification box, fast path and every table's caps, or the error it
-    raised; the number of rebuilds of each table, by the facets that
-    contain its face; the points that box walks drew; and the (point, face)
-    questions the table oracle was asked."""
+    verification box, fast path, every table's caps and whether every
+    proper face quotient is torsion-free, or the error it raised; the
+    number of rebuilds of each table, by the facets that contain its face;
+    the points that box walks drew; and the (point, face) questions the
+    table oracle was asked."""
     rebuilds, drawn, asked = Counter(), set(), []
     rebuild = semigroups._BfsTable.rebuild
     box_walk = semigroups._box_walk
@@ -53,9 +54,13 @@ def _classified(classify, rows, **options):
             pres = ToricPresentation.build(rows, **options)
         except Exception as exc:  # the reference must raise the same
             return (type(exc), str(exc)), rebuilds, drawn, asked
+    torsion_free = pres.pointed and all(
+        pres.face_quotient(f.face_id).is_torsion_free()
+        for f in pres.face_lattice.faces if f.face_id != pres.face_lattice.top_id)
     return (pres.normal, pres.scored, pres.serre_s2, pres.fast_path,
             pres.flag_evidence, pres.verification_box,
-            {f: tbl.caps for f, tbl in pres._tables.items()}), rebuilds, drawn, asked
+            {f: tbl.caps for f, tbl in pres._tables.items()},
+            torsion_free), rebuilds, drawn, asked
 
 
 def _assert_matches_reference(rows, **options):
@@ -67,6 +72,12 @@ def _assert_matches_reference(rows, **options):
     assert outcome == expected, rows
     assert rebuilds == expected_rebuilds, rows
     assert drawn <= {a for a, _ in asked}, rows
+    if len(outcome) > 2:
+        # the fast path is a function of the flags, and a scored Q has every
+        # proper face quotient torsion-free
+        normal, scored, _, fast_path, *_, torsion_free = outcome
+        assert fast_path == ("normal" if normal else "scored" if scored else None), rows
+        assert torsion_free or not scored, rows
 
 
 @pytest.mark.parametrize("path", PROBLEM_FILES, ids=lambda p: p.name)
@@ -75,6 +86,18 @@ def test_classify_matches_reference_on_problem_files(path):
     _assert_matches_reference(
         problem.matrix_rows, search_bound=problem.options.get("bound"),
         box_margin=problem.options.get("margin", 10))
+
+
+def test_classify_refutes_scored_on_a_torsion_face_quotient():
+    # every box point passes the facet tests exactly where it lies in Q, yet
+    # a proper face quotient has torsion: Q is not scored, with the torsion
+    # as the certificate
+    rows = [[1, 4, 2, 4], [-3, -3, -3, 1], [3, 1, 4, 3]]
+    _assert_matches_reference(rows)
+    pres = ToricPresentation.build(rows)
+    assert (pres.normal, pres.scored, pres.fast_path) == (False, False, None)
+    assert pres.flag_evidence["scored"] == "certified"
+    assert not pres.face_quotient(7).is_torsion_free()
 
 
 def _full_lattice(rows) -> bool:

@@ -1,17 +1,18 @@
 """Facet exponents, exponent identities, graded-ring certificates."""
 
+import json
 import os
 import random
 import subprocess
 import sys
-from collections import Counter
+from operator import add
 from pathlib import Path
 
 import pytest
 
 from conftest import CORPUS, presentation
 from oracles import face_membership_search
-from report_digests import digest
+from report_digests import report
 from test_semigroups import PENTAGON_SCORED
 
 from toriclc import (
@@ -329,53 +330,40 @@ def test_char_variety_hartshorne_accepts_nonsimplicial(pres_hartshorne):
     assert cert.verified
 
 
-def test_char_variety_on_scored_table_path_reads_asked_faces_alone(monkeypatch):
-    # scored on its box but on the table path, as face 7's quotient has
-    # torsion: every localization check of the certificate answers as the
-    # depth-first search does, and grows no table but those of the faces
-    # it asks; the reentry loop reaches n = 62 on facet 2, where growing
-    # the other faces' tables would exceed the table state limit
-    pres = ToricPresentation.build([[1, 4, 2, 4], [-3, -3, -3, 1], [3, 1, 4, 3]])
-    assert (pres.scored, pres.fast_path) == (True, None)
+def test_grd_rejects_char_variety_where_a_face_quotient_has_torsion(tmp_path):
+    # every box point passes the facet tests exactly where it lies in Q,
+    # but face 7's quotient has torsion, which a scored Q cannot have: the
+    # flag is refuted, and grd reports the certificate's rejection
+    rows = [[1, 4, 2, 4], [-3, -3, -3, 1], [3, 1, 4, 3]]
+    pres = ToricPresentation.build(rows)
+    assert (pres.scored, pres.fast_path) == (False, None)
+    assert pres.flag_evidence["scored"] == "certified"
     assert not pres.face_quotient(7).is_torsion_free()
-    caps = {f: tbl.caps for f, tbl in pres._tables.items()}
-    asked = set()
-    localization_faces = grading.localization_faces
+    with pytest.raises(HypothesisFailed):
+        char_variety_max(pres)
+    path = tmp_path / "torsion.toric"
+    path.write_text("matrix:\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    code, text = report(["grd", str(path)])
+    assert code == 0
+    certificates = {c["kind"]: c for c in json.loads(text)["certificates"]}
+    assert certificates["char_variety_max"]["error"].startswith("HypothesisFailed")
 
-    def checked(p, a, face_ids):
-        present = localization_faces(p, a, face_ids)
-        assert present == frozenset(
-            f for f in face_ids if face_membership_search(p, a, f, search_bound=1000)), a
-        asked.update(face_ids)
-        return present
 
-    monkeypatch.setattr(grading, "localization_faces", checked)
-    monkeypatch.setattr(grading, "in_face_localization", lambda p, a, f: f in checked(p, a, (f,)))
+@pytest.mark.parametrize("name", [*SCORED, "pentagon_scored"])
+def test_reentry_exponents_match_search(name):
+    # each reentry exponent is the least n with n * p - alpha in the facet's
+    # localization, p the first column positive on the facet, as the
+    # depth-first search finds it
+    pres = (ToricPresentation.build(PENTAGON_SCORED) if name == "pentagon_scored"
+            else presentation(name))
     cert = char_variety_max(pres)
-    assert cert.verified
-    assert "facet 2: reentry exponent 62" in cert.notes
-    grown = {f for f, tbl in pres._tables.items() if caps.get(f) != tbl.caps}
-    assert grown and grown <= asked
-
-
-def test_grd_runs_exponent_map_checks_once_per_presentation(monkeypatch):
-    # origin fiber and characteristic variety share one run; each orbit
-    # fiber certifies a quotient presentation of its own
-    expected = {name: 1 for name in CORPUS if name.startswith("dim1_")}
-    expected.update(dim2_normal=3, dim2_polynomial=3, dim2_scored_nonnormal=3,
-                    dim2_nonscored=0, dim3_hartshorne=1)
-    runs = Counter()
-    checks = grading._exponent_map_checks
-
-    def counted(pres):
-        runs[job] += 1
-        return checks(pres)
-
-    monkeypatch.setattr(grading, "_exponent_map_checks", counted)
-    for job in sorted(CORPUS):
-        assert digest(["grd", f"corpus/{job}.toric"])[0] == 0
-    assert runs == Counter(expected)
-    assert sum(runs.values()) == 16
+    alpha = interior_degree(pres)
+    for s in pres.supports:
+        p = next(c for c in pres.columns if s.value(c) > 0)
+        facet = pres.face_lattice.facet_face_id(s.facet_id)
+        n = next(n for n in range(1, pres.search_bound + 1) if face_membership_search(
+            pres, la.vsub(la.vscale(n, p), alpha), facet, search_bound=1000))
+        assert f"facet {s.facet_id}: reentry exponent {n}" in cert.notes, (name, s.facet_id)
 
 
 @pytest.mark.parametrize("name", ["dim1_cusp", "dim2_normal", "dim2_scored_nonnormal"])
@@ -390,53 +378,55 @@ def test_shared_exponent_map_checks_do_not_depend_on_call_order(name):
 
 
 def test_exponent_map_check_rejects_a_constant_map(monkeypatch):
-    # a constant map is additive at zero but sends distinct degrees to one
-    # exponent vector
-    monkeypatch.setattr(grading, "_exponents_at",
-                        lambda semigroups, values: (0,) * len(semigroups))
-    checks = grading._exponent_map_checks(ToricPresentation.build(CORPUS["dim2_normal"][0]))
-    assert checks == (("exponent_map_additive", True), ("exponent_map_injective", False))
+    # a constant escape count sends every degree of -Q to one exponent
+    # vector, which misses e_s(-u) = u at u = c_s > 0
+    monkeypatch.setattr(semigroups.NumericalSemigroup, "escape_count", lambda ns, shift: 0)
+    checks = grading._exponent_map_checks(presentation("dim2_scored_nonnormal"))
+    assert checks == (("exponent_map_additive", False), ("exponent_map_injective", False))
 
 
 def _exponent_map_checks_by_degree(pres) -> tuple:
-    """The exponent-map checks on the degrees themselves: the same draws,
-    each sum built as a vector and its facet values taken at the end."""
-    rng = random.Random(grading._RNG_SEED)
-    cols = [c for c in pres.columns if not la.is_zero_vector(c)]
-    semigroups_ = pres.facet_semigroups
-    additive = injective = True
-    seen = {}
-    for _ in range(grading._EXPONENT_MAP_SAMPLES):
-        x = y = la.zero_vector(pres.dim)
-        for c in cols:
-            x = la.vadd(x, la.vscale(rng.randint(0, 2), c))
-            y = la.vadd(y, la.vscale(rng.randint(0, 2), c))
-        ex, ey, exy = (
-            grading._exponents_at(semigroups_, [-v for v in pres.facet_values(z)])
-            for z in (x, y, la.vadd(x, y)))
-        additive &= exy == tuple(a + b for a, b in zip(ex, ey))
-        injective &= seen.setdefault(ex, x) == x
+    """The exponent-map checks on every pair of negated column sums with
+    multipliers in {0, 1, 2}, each sum built as a vector and its facet
+    values taken at the end."""
+    sums = {la.zero_vector(pres.dim)}
+    for c in pres.columns:
+        sums = {la.vadd(x, la.vscale(m, c)) for x in sums for m in range(3)}
+    exponents = {x: theta_exponents(pres, la.vneg(x)) for x in sums}
+    additive = all(theta_exponents(pres, la.vneg(la.vadd(x, y)))
+                   == tuple(map(add, exponents[x], exponents[y])) for x in sums for y in sums)
+    injective = len(set(exponents.values())) == len(sums)
     return (("exponent_map_additive", additive), ("exponent_map_injective", injective))
 
 
-@pytest.mark.parametrize("exponents", [
-    None,  # the facet exponents themselves
-    lambda sgs, values: tuple(max(0, v) for v in values),  # not additive
-    lambda sgs, values: (sum(values) % 3,),  # neither
+@pytest.mark.parametrize("mutation", [
+    None,  # the escape counts themselves
+    lambda shift: shift * shift,  # injective on -Q, not additive
+    lambda shift: shift % 3,  # neither
 ])
-def test_exponent_map_checks_match_degree_reference(monkeypatch, exponents):
-    # summing column facet values draws the same sums as summing degrees,
-    # so every check result agrees, also for maps that fail them
-    if exponents is not None:
-        monkeypatch.setattr(grading, "_exponents_at", exponents)
-    results = set()
-    for rows in [*(rows for rows, _ in CORPUS.values()), PENTAGON_SCORED]:
+def test_exponent_map_checks_match_degree_reference(monkeypatch, mutation):
+    # the per-facet check passes on every scored presentation, and so do
+    # the exhaustive checks on sums; a map that fails the exhaustive checks
+    # fails the per-facet one too.  The mutations replace the tabled escape
+    # counts, |shift| < c_s; test_escape_count_matches_definition checks
+    # the closed form beyond
+    if mutation is not None:
+        escape_count = semigroups.NumericalSemigroup.escape_count
+        monkeypatch.setattr(
+            semigroups.NumericalSemigroup, "escape_count",
+            lambda ns, shift: mutation(shift) if abs(shift) < ns.conductor
+            else escape_count(ns, shift))
+    refuted = 0
+    for rows in [*(rows for name, (rows, _) in CORPUS.items() if name != "dim2_nonscored"),
+                 PENTAGON_SCORED]:
         pres = ToricPresentation.build(rows)
         checks = grading._exponent_map_checks(pres)
-        assert checks == _exponent_map_checks_by_degree(pres), rows
-        results.add(checks)
-    if exponents is not None:
-        assert any(not ok for checks in results for _, ok in checks)
+        reference = _exponent_map_checks_by_degree(pres)
+        if mutation is None:
+            assert checks == reference and all(ok for _, ok in checks), rows
+        assert all(ok for _, ok in checks) <= all(ok for _, ok in reference), rows
+        refuted += not all(ok for _, ok in reference)
+    assert refuted == 0 if mutation is None else refuted > 0
 
 
 def test_non_normal_build_tables_only_the_inner_box():
@@ -455,22 +445,27 @@ def test_char_variety_rejects_nonscored():
 
 
 @pytest.mark.parametrize("name, shift", [
-    ("dim1_3_5_7", -5), ("dim2_scored_nonnormal", -3), ("pentagon_scored", -3)])
+    ("dim1_3_5_7", -5), ("dim2_scored_nonnormal", -2), ("pentagon_scored", -2)])
 def test_sampled_checks_catch_one_wrong_escape_count(monkeypatch, name, shift):
     # the corpus digests pin only passing checks; an escape count off by one
-    # at one shift of one facet, a shift that the sampled degrees and sums
-    # reach, must fail the reflection, member and exponent-map checks
+    # at one shift -u, u in S_s up to the conductor of the one facet with
+    # gaps, must fail the reflection check on the sampled degrees and the
+    # exponent-map check, and the member check where a sampled member of Q
+    # has facet value u (none on the pentagon); shifts below -c_s take
+    # escape_count's closed form, which test_escape_count_matches_definition
+    # checks
     pres = (ToricPresentation.build(PENTAGON_SCORED) if name == "pentagon_scored"
             else presentation(name))
-    wrong = pres.facet_semigroups[0]
+    [wrong] = [ns for ns in pres.facet_semigroups if ns.gaps]
+    assert -shift in wrong and -shift <= wrong.conductor
     escape_count = semigroups.NumericalSemigroup.escape_count
     monkeypatch.setattr(
         semigroups.NumericalSemigroup, "escape_count",
         lambda ns, v: escape_count(ns, v) + (ns is wrong and v == shift))
     failures = verify_exponent_identities(pres).failures
     assert any(f.startswith("reflection failed") for f in failures)
-    assert any(f.startswith("member degree") for f in failures)
-    assert not all(ok for _, ok in grading._exponent_map_checks(pres))
+    assert any(f.startswith("member degree") for f in failures) == (name != "pentagon_scored")
+    assert not any(ok for _, ok in grading._exponent_map_checks(pres))
     monkeypatch.undo()
     assert verify_exponent_identities(pres).ok
     assert all(ok for _, ok in grading._exponent_map_checks(pres))

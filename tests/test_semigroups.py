@@ -441,9 +441,9 @@ def test_degrees_of_the_wrong_length_raise(name):
 
 
 def test_torsion_face_quotient_turns_scored_fast_path_off(monkeypatch):
-    # the scored masks give each face its zero residue alone, so one proper
-    # face quotient with torsion, here patched in on the first facet face,
-    # leaves the scored flag but sends every query to the tables
+    # a scored Q has every proper face quotient torsion-free, so one with
+    # torsion, here patched in on the first facet face, refutes the scored
+    # flag, which turns the fast path off: every query goes to the tables
     rows = CORPUS["dim2_scored_nonnormal"][0]
     assert ToricPresentation.build(rows).fast_path == "scored"
     face_quotient = ToricPresentation.face_quotient
@@ -456,7 +456,8 @@ def test_torsion_face_quotient_turns_scored_fast_path_off(monkeypatch):
 
     monkeypatch.setattr(ToricPresentation, "face_quotient", with_torsion)
     pres = ToricPresentation.build(rows)
-    assert (pres.normal, pres.scored, pres.fast_path) == (False, True, None)
+    assert (pres.normal, pres.scored, pres.fast_path) == (False, False, None)
+    assert pres.flag_evidence["scored"] == "certified"
     faces = [f.face_id for f in pres.face_lattice.faces]
     for a in product(range(-4, 5), repeat=2):
         assert localization_faces(pres, a, faces) == frozenset(
@@ -524,11 +525,12 @@ def _patch_failing_facets(monkeypatch, change):
 def test_scored_fast_path_off_when_masks_disagree_on_facet_faces(monkeypatch):
     # a degree that fails one facet now fails all: the bottom face keeps its
     # answer, but a box degree failing only the facet 3x - y >= 0 (value 1,
-    # a gap) is still in the localization at the other facet
+    # a gap) is still in the localization at the other facet, a witness
+    # against scored, which turns the fast path off
     _patch_failing_facets(
         monkeypatch, lambda pres, mask: (1 << len(pres.supports)) - 1 if mask else 0)
     pres = ToricPresentation.build(CORPUS["dim2_scored_nonnormal"][0])
-    assert (pres.normal, pres.scored, pres.serre_s2) == (False, True, True)
+    assert (pres.normal, pres.scored, pres.serre_s2) == (False, False, True)
     assert pres.fast_path is None
 
 
@@ -552,7 +554,7 @@ def test_scored_fast_path_off_when_zero_facet_masks_drop_a_facet(monkeypatch):
     monkeypatch.setattr(semigroups, "_classify", dropped)
     pres = ToricPresentation.build(CORPUS["dim2_scored_nonnormal"][0])
     assert not pres.facet_semigroups[0].gaps
-    assert (pres.normal, pres.scored, pres.serre_s2) == (False, True, True)
+    assert (pres.normal, pres.scored, pres.serre_s2) == (False, False, True)
     assert pres.fast_path is None
 
 
@@ -878,6 +880,20 @@ def test_table_reads_grow_tables_as_a_read_that_grows_first(rows, data):
         assert table_membership(lazy, a, f) == expected, (a, f)
         assert {g: t.caps for g, t in lazy._tables.items()} == {
             g: t.caps for g, t in eager._tables.items()}, (a, f)
+
+
+def test_one_face_localization_grows_only_that_faces_table():
+    # on the table path a one-face in_face_localization reads and grows that
+    # face's table alone, though the degrees' values pass every table's caps
+    for face in (0, 1, 2):
+        pres = ToricPresentation.build(TABLE2D_A)
+        assert pres.fast_path is None
+        caps = {f: tbl.caps for f, tbl in pres._tables.items()}
+        for a in [(40, 41), (41, 40), (42, 40)]:
+            assert min(pres.facet_values(a)) > max(map(max, caps.values()))
+            assert in_face_localization(pres, a, face) == \
+                face_membership_search(pres, a, face, search_bound=1000), (a, face)
+        assert {f for f, tbl in pres._tables.items() if caps.get(f) != tbl.caps} == {face}
 
 
 def test_build_validates_options():
